@@ -22,9 +22,9 @@ from .channel import (DensityMatrix, KrausSet, apply, coherent_input_output,
 from .errors import (ConvergenceError, DimensionError, DivergenceError,
                      DomainError, InvalidStateError, SingularityError,
                      TruncationError)
-from .kernel import (CoherentVector, KernelMatrix, coherent_vector,
-                     kernel_entry, kernel_map, kernel_matrix, mu,
-                     overlap_closed_form, overlap_series, tau,
+from .kernel import (CoherentVector, KernelMatrix, amplitude_table,
+                     coherent_vector, kernel_entry, kernel_map, kernel_matrix,
+                     mu, overlap_closed_form, overlap_series, tau,
                      write_kernel_map_csv)
 from .oracle import (EvolveResult, OracleKernelValue, UnitaryDilation,
                      build_unitary, displacement_apply, evolve_and_trace,
@@ -47,8 +47,8 @@ __all__ = [
     "kraus_set", "phase_covariance_residual", "verify_gaussian_decomposition",
     "ConvergenceError", "DimensionError", "DivergenceError", "DomainError",
     "InvalidStateError", "SingularityError", "TruncationError",
-    "CoherentVector", "KernelMatrix", "coherent_vector", "kernel_entry",
-    "kernel_map", "kernel_matrix", "mu", "overlap_closed_form",
+    "CoherentVector", "KernelMatrix", "amplitude_table", "coherent_vector",
+    "kernel_entry", "kernel_map", "kernel_matrix", "mu", "overlap_closed_form",
     "overlap_series", "tau", "write_kernel_map_csv",
     "EvolveResult", "OracleKernelValue", "UnitaryDilation", "build_unitary",
     "displacement_apply", "evolve_and_trace", "evolve_and_trace_system",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import ChannelParams, max_dimension
 from .errors import DimensionError, DomainError, InvalidStateError
-from .kernel import _entry_from_mu, kernel_entry
+from .kernel import _check_index, _kernel_from_mu, mu
 from ._parallel import parallel_map
 
 __all__ = [
@@ -118,20 +118,19 @@ def fock_menu(N: int, offsets=(0, 1, 1)):
 
 
 def _menu_kernel(p: ChannelParams, indices, convention: str) -> np.ndarray:
-    """Real kernel matrix restricted to the index menu, one entry per pair."""
-    idx = list(indices)
-    d = len(idx)
-    K = np.eye(d)
-    for a in range(d):
-        for b in range(a + 1, d):
-            if convention == "proof":
-                K[a, b] = K[b, a] = kernel_entry(idx[a], idx[b], p)
-            elif convention == "eq19":
-                g = math.sqrt(p.gamma)
-                K[a, b] = K[b, a] = _entry_from_mu(g * idx[a], g * idx[b], p)
-            else:
-                raise DomainError(f"unknown convention {convention!r}")
-    return K
+    """Real kernel matrix restricted to the index menu.
+
+    "proof" uses the Fock displacements mu_n; "eq19" uses sqrt(gamma) n.
+    """
+    idx = np.asarray(list(indices))
+    if convention == "proof":
+        _check_index(idx, p)
+        mus = mu(idx, p)
+    elif convention == "eq19":
+        mus = math.sqrt(p.gamma) * idx
+    else:
+        raise DomainError(f"unknown convention {convention!r}")
+    return _kernel_from_mu(mus, p)
 
 
 def _check_menu(p: ChannelParams, indices, convention: str):

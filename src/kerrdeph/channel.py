@@ -21,9 +21,7 @@ from .algebra import (ChannelParams, build_annihilator, build_k0,
                       max_dimension)
 from .errors import (DimensionError, DomainError, InvalidStateError,
                      SingularityError, TruncationError)
-from .kernel import (CoherentVector, KernelMatrix, _flat_logamp, _neg_logamp,
-                     _pos_logamp, _tail_bound, coherent_vector, kernel_matrix,
-                     mu, tau)
+from .kernel import amplitude_table, coherent_vector, kernel_matrix
 
 __all__ = [
     "DensityMatrix",
@@ -143,20 +141,8 @@ def complementary_spectrum(pvec, p: ChannelParams) -> np.ndarray:
 
 
 def _amp_table(p: ChannelParams, dim: int, L: int) -> np.ndarray:
-    """Real amplitude table D[l, n] = amplitude_l of coherent_vector(n)."""
-    ks = np.arange(L)
-    D = np.empty((L, dim))
-    for n in range(dim):
-        if p.lam < 0:
-            logmag, sign = _neg_logamp(tau(n, p), p, ks)
-            ref = logmag.max()
-            v = sign * np.exp(logmag - ref)
-            D[:, n] = v / np.linalg.norm(v)
-        elif p.lam > 0:
-            D[:, n] = np.exp(_pos_logamp(tau(n, p), p, ks))
-        else:
-            D[:, n] = np.exp(_flat_logamp(mu(n, p), ks))
-    return D
+    """Kraus table D[l, n]: L amplitude rows of the first dim coherent vectors."""
+    return amplitude_table(p, np.arange(dim), L)
 
 
 def kraus_set(p: ChannelParams, dim: int, env_dim: int | None = None) -> KrausSet:

@@ -6,19 +6,24 @@ states |c_n> = exp(-i mu_n (B + B^dag)) |0> with displacement magnitude
 
     mu_n = sqrt(gamma) n (1 + y n),    tau_n = sqrt(|y|) mu_n.
 
-Three regimes:
-  lam = 0   K = exp(-gamma (n-m)^2 / 2)                (Gaussian, exact)
+All amplitudes come from one real table D[k, n] (amplitude_table), whose
+k-only terms (gammaln, binomials) are computed once per row and broadcast;
+coherent_vector is a column of it times (-i)^k, the Kraus family the table.
+  lam = 0   K = exp(-(mu_n - mu_m)^2 / 2) = exp(-gamma (n-m)^2 / 2)
   lam > 0   K = sech^{2 nu}(tau_n - tau_m),  nu = omega/lam + 1/2
             (identical to [(1-t_n^2)(1-t_m^2)]^nu / (1-t_n t_m)^{2 nu}
              with t = tanh tau, but immune to tanh saturating at 1.0)
-  lam < 0   explicit finite inner product of the two coherent vectors;
+  lam < 0   K = D^T D, the Gram product of the table on the finite space;
             the closed-form power cos^{2 nu} is branch-ambiguous and never used.
+The lam >= 0 forms are evaluated on the whole matrix |mu_n - mu_m| at once.
 
 The lam < 0 amplitudes carry the sign of the cos^{2 nu - k} prefactor.  For
 integer 2 omega/|lam| this reproduces the exact su(2) evolution (checked
 against the matrix-exponential oracle to 6e-15, including odd 2 nu where the
 bare tan^k form is off by O(1)); otherwise the formula is a model and the
-sign exponent uses round(2 nu).
+sign exponent uses round(2 nu).  Windowing: above 32768 levels the kernel's
+table keeps only the union of its columns' windows (binomial mean +- 45
+sigma + 64 levels, see _neg_rows); amplitude_table spans every level asked.
 """
 
 import math
@@ -35,6 +40,7 @@ __all__ = [
     "KernelMatrix",
     "CoherentVector",
     "tau",
+    "amplitude_table",
     "coherent_vector",
     "kernel_entry",
     "kernel_matrix",
@@ -71,8 +77,8 @@ class CoherentVector:
     tail_bound: float = 0.0
 
 
-def mu(n: int, p: ChannelParams) -> float:
-    """Displacement magnitude mu_n = sqrt(gamma) n (1 + y n)."""
+def mu(n, p: ChannelParams):
+    """Displacement magnitude mu_n = sqrt(gamma) n (1 + y n); n may be an array."""
     return math.sqrt(p.gamma) * n * (1.0 + p.y * n)
 
 
@@ -82,104 +88,110 @@ def tau(n: int, p: ChannelParams) -> float:
     return math.sqrt(abs(p.y)) * mu(n, p)
 
 
-def _check_index(n: int, p: ChannelParams) -> None:
-    if n < 0:
-        raise DomainError(f"Fock index must be >= 0, got {n}")
+def _check_index(n, p: ChannelParams) -> None:
+    """Raise unless every Fock index in n (a scalar or an array) is physical."""
+    if np.min(n) < 0:
+        raise DomainError(f"Fock index must be >= 0, got {np.min(n)}")
     bound = max_dimension(p)
-    if bound is not None and n >= bound:
+    if bound is not None and np.max(n) >= bound:
         raise DimensionError(
-            f"Fock index {n} exceeds the lam<0 space (dim {bound})"
+            f"Fock index {np.max(n)} exceeds the lam<0 space (dim {bound})"
         )
 
 
 # ---------------------------------------------------------------------------
-# lam < 0: signed log-magnitude amplitudes on the finite space
+# the amplitude table (all three regimes)
 # ---------------------------------------------------------------------------
 
-def _neg_logamp(tau_n: float, p: ChannelParams, ks: np.ndarray):
-    """log-magnitudes and signs of the real amplitude part over indices ks.
-
-    amplitude_k = (-i)^k * sign_k * exp(logmag_k - lognorm), with
-    magnitude cos^{2nu-k}(tau) sin^k(tau) sqrt(binom(2nu, k)) before
-    normalization.  Signs: sign(sin)^k sign(cos)^(round(2nu)-k).
-    """
-    two_nu = 1.0 / abs(p.y) - 1.0
-    s, c = math.sin(tau_n), math.cos(tau_n)
+def _pow_log(e, x):
+    """log|x|^e for a column of exponents e and a row of bases x, with 0^0 = 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ls = np.where(ks == 0, 0.0, ks * (np.log(abs(s)) if s != 0 else -np.inf))
-        top = two_nu - ks
-        lc = np.where(top == 0, 0.0, top * (np.log(abs(c)) if c != 0 else -np.inf))
-        lb = 0.5 * (gammaln(two_nu + 1) - gammaln(two_nu - ks + 1) - gammaln(ks + 1))
-    logmag = ls + lc + lb
-    logmag[np.isnan(logmag)] = -np.inf
-    r = int(round(two_nu))
-    sign = np.ones(len(ks))
-    if s < 0:
-        sign *= np.where(ks % 2 == 1, -1.0, 1.0)
-    if c < 0:
-        sign *= np.where((r - ks) % 2 == 1, -1.0, 1.0)
-    return logmag, sign
+        out = e * np.log(np.abs(x))
+    out[e[:, 0] == 0] = 0.0
+    return out
 
 
-def _neg_window(tau_n: float, p: ChannelParams, d: int):
-    """Index range holding all non-negligible lam<0 amplitude mass."""
+def _log_amplitudes(p: ChannelParams, mus, ks) -> np.ndarray:
+    """lam >= 0: log amplitudes [k, j] of the normalized expansion, over
+    levels ks (rows) and displacement magnitudes mus (columns)."""
+    ks = np.asarray(ks, dtype=float)[:, None]
+    mus = np.asarray(mus, dtype=float)
+    if p.lam == 0:
+        out = _pow_log(ks, mus)
+        out -= 0.5 * mus**2
+        out -= 0.5 * gammaln(ks + 1)
+        return out
+    two_nu = 1.0 / p.y + 1.0
+    taus = math.sqrt(p.y) * mus
+    out = _pow_log(ks, np.tanh(taus))
+    # nu log(1-t^2) = 2 nu log(sech tau), computed saturation-free
+    out += two_nu * (math.log(2.0) - taus - np.log1p(np.exp(-2.0 * taus)))
+    out += 0.5 * (gammaln(two_nu + ks) - gammaln(two_nu) - gammaln(ks + 1))
+    return out
+
+
+def _amplitudes(p: ChannelParams, mus, ks) -> np.ndarray:
+    """Real amplitude table D[k, j] over levels ks and displacements mus.
+
+    The (-i)^k phase is left out.  lam < 0: magnitude cos^{2nu-k}(tau)
+    sin^k(tau) sqrt(binom(2nu, k)) with sign sign(sin)^k
+    sign(cos)^(round(2nu)-k), each column normalized over ks.
+    """
+    if p.lam >= 0:
+        D = _log_amplitudes(p, mus, ks)
+        return np.exp(D, out=D)
     two_nu = 1.0 / abs(p.y) - 1.0
-    s2 = math.sin(tau_n) ** 2
-    mean = two_nu * s2
-    sigma = math.sqrt(max(two_nu * s2 * (1.0 - s2), 0.0)) + 1.0
-    lo = max(0, int(mean - 45 * sigma) - 64)
-    hi = min(d - 1, int(mean + 45 * sigma) + 64)
-    return lo, hi
+    ks = np.asarray(ks)[:, None]
+    taus = math.sqrt(-p.y) * np.asarray(mus, dtype=float)
+    s, c = np.sin(taus), np.cos(taus)
+    with np.errstate(invalid="ignore"):
+        D = _pow_log(ks, s)
+        D += _pow_log(two_nu - ks, c)
+        D += 0.5 * (gammaln(two_nu + 1) - gammaln(two_nu - ks + 1) - gammaln(ks + 1))
+    D[np.isnan(D)] = -np.inf
+    D -= D.max(axis=0)
+    np.exp(D, out=D)
+    r = round(two_nu)
+    flip = ((ks % 2 == 1) & (s < 0)) ^ (((r - ks) % 2 == 1) & (c < 0))
+    np.negative(D, out=D, where=flip)
+    D /= np.sqrt(np.einsum("kj,kj->j", D, D))
+    return D
 
 
-def _neg_overlap(tau_n: float, tau_m: float, p: ChannelParams) -> float:
-    """<c_n|c_m> on the finite lam<0 space, stable for any dimension."""
-    d = max_dimension(p)
+def amplitude_table(p: ChannelParams, ns, L: int) -> np.ndarray:
+    """Real environment amplitudes D[k, j] of |c_{ns[j]}> for levels k < L.
+
+    coherent_vector(n) is the column of n times (-i)^k.  lam < 0: columns
+    are normalized over the L levels, exact at L = max_dimension(p).
+    lam >= 0: the normalized infinite expansion cut at L, not renormalized.
+    """
+    ns = np.asarray(ns)
+    _check_index(ns, p)
+    return _amplitudes(p, mu(ns, p), np.arange(L))
+
+
+def _neg_rows(taus, p: ChannelParams, d: int) -> np.ndarray:
+    """lam<0 table rows for overlaps: all d levels, or for d > 32768 the union
+    of the columns' windows holding all non-negligible amplitude mass."""
     if d <= 32768:
-        ks = np.arange(d)
-    else:
-        lo1, hi1 = _neg_window(tau_n, p, d)
-        lo2, hi2 = _neg_window(tau_m, p, d)
-        ks = np.arange(min(lo1, lo2), max(hi1, hi2) + 1)
-    la, sa = _neg_logamp(tau_n, p, ks)
-    lb, sb = _neg_logamp(tau_m, p, ks)
-    ref = max(la.max(), lb.max())
-    va = sa * np.exp(la - ref)
-    vb = sb * np.exp(lb - ref)
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    return float(va @ vb / (na * nb))
+        return np.arange(d)
+    two_nu = 1.0 / abs(p.y) - 1.0
+    s2 = np.sin(taus) ** 2
+    mean = two_nu * s2
+    sigma = np.sqrt(np.maximum(two_nu * s2 * (1.0 - s2), 0.0)) + 1.0
+    los = np.maximum(0, (mean - 45 * sigma).astype(int) - 64)
+    his = np.minimum(d - 1, (mean + 45 * sigma).astype(int) + 64)
+    rows, top = [], -1
+    for lo, hi in sorted(zip(los, his)):
+        if hi > top:
+            rows.append(np.arange(max(lo, top + 1), hi + 1))
+            top = hi
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
 # coherent vectors (all three regimes)
 # ---------------------------------------------------------------------------
-
-def _pos_logamp(tau_n: float, p: ChannelParams, ks: np.ndarray) -> np.ndarray:
-    """lam>0: log amplitudes of the normalized infinite expansion."""
-    two_nu = 1.0 / p.y + 1.0
-    t = math.tanh(tau_n)
-    if t == 0:
-        out = np.full(len(ks), -np.inf)
-        out[ks == 0] = 0.0
-        return out
-    # nu log(1-t^2) = 2 nu log(sech tau), computed saturation-free
-    lognorm = two_nu * (math.log(2.0) - tau_n - np.log1p(np.exp(-2.0 * tau_n)))
-    return (
-        lognorm
-        + ks * math.log(t)
-        + 0.5 * (gammaln(two_nu + ks) - gammaln(two_nu) - gammaln(ks + 1))
-    )
-
-
-def _flat_logamp(mu_n: float, ks: np.ndarray) -> np.ndarray:
-    """lam=0: log amplitudes of the ordinary coherent state |-i mu>."""
-    if mu_n == 0:
-        out = np.full(len(ks), -np.inf)
-        out[ks == 0] = 0.0
-        return out
-    return -mu_n**2 / 2.0 + ks * math.log(mu_n) - 0.5 * gammaln(ks + 1)
-
 
 def _tail_bound(log_p_last: float, ratio: float) -> float:
     """Geometric bound on the mass beyond the last kept level.
@@ -204,12 +216,7 @@ def coherent_vector(n: int, p: ChannelParams, env_dim: int | None = None,
     _check_index(n, p)
     if p.lam < 0:
         d = max_dimension(p)
-        ks = np.arange(d)
-        logmag, sign = _neg_logamp(tau(n, p), p, ks)
-        ref = logmag.max()
-        v = sign * np.exp(logmag - ref)
-        v /= np.linalg.norm(v)
-        amps = (-1j) ** ks * v
+        amps = (-1j) ** np.arange(d) * amplitude_table(p, [n], d)[:, 0]
         return CoherentVector(env_dim=d, amplitudes=amps, tail_bound=0.0)
 
     mu_n = mu(n, p)
@@ -217,13 +224,11 @@ def coherent_vector(n: int, p: ChannelParams, env_dim: int | None = None,
         two_nu = 1.0 / p.y + 1.0
         t2 = math.tanh(tau(n, p)) ** 2
         ratio_at = lambda k: t2 * (two_nu + k) / (k + 1.0)
-        logamp_at = lambda ks: _pos_logamp(tau(n, p), p, ks)
     else:
         ratio_at = lambda k: mu_n**2 / (k + 1.0)
-        logamp_at = lambda ks: _flat_logamp(mu_n, ks)
 
     def tail_of(dim_):
-        la = logamp_at(np.arange(dim_))
+        la = _log_amplitudes(p, [mu_n], np.arange(dim_))[:, 0]
         return la, _tail_bound(2.0 * la[-1], ratio_at(dim_ - 1))
 
     if env_dim is None:
@@ -248,39 +253,48 @@ def coherent_vector(n: int, p: ChannelParams, env_dim: int | None = None,
                 f"env_dim {env_dim} leaves tail bound {tb:.3e} > {tail_tol:.1e} "
                 f"(n={n}, gamma={p.gamma}, lam={p.lam})"
             )
-    ks = np.arange(dim_)
-    amps = (-1j) ** ks * np.exp(la)
+    amps = (-1j) ** np.arange(dim_) * np.exp(la)
     return CoherentVector(env_dim=dim_, amplitudes=amps, tail_bound=float(tb))
 
 
 # ---------------------------------------------------------------------------
-# kernel entries
+# kernels
 # ---------------------------------------------------------------------------
 
-def _entry_from_mu(mu_n: float, mu_m: float, p: ChannelParams) -> float:
-    """Kernel value for two displacement magnitudes (any lam regime)."""
-    if mu_n == mu_m:
-        return 1.0
-    if p.lam == 0:
-        return math.exp(-0.5 * (mu_n - mu_m) ** 2)
-    if p.lam > 0:
-        two_nu = 1.0 / p.y + 1.0
-        dt = math.sqrt(p.y) * abs(mu_n - mu_m)
-        # log sech(dt) = log 2 - dt - log(1 + e^{-2 dt})
-        return math.exp(two_nu * (math.log(2.0) - dt - math.log1p(math.exp(-2.0 * dt))))
-    sy = math.sqrt(-p.y)
-    return _neg_overlap(sy * mu_n, sy * mu_m, p)
+def _kernel_from_mu(mus, p: ChannelParams) -> np.ndarray:
+    """K[a, b] = <c_a|c_b> for the displacement magnitudes mus (any lam regime).
+
+    lam < 0: the Gram product D^T D of the amplitude table.  lam >= 0: the
+    closed form over |mu_a - mu_b|.  Equal displacements give exactly 1.
+    """
+    mus = np.asarray(mus, dtype=float)
+    if p.lam < 0:
+        rows = _neg_rows(math.sqrt(-p.y) * mus, p, max_dimension(p))
+        D = _amplitudes(p, mus, rows)
+        K = D.T @ D
+    else:
+        # in place, so that few dim x dim temporaries are alive at once
+        K = np.abs(mus[:, None] - mus[None, :])
+        if p.lam == 0:
+            K *= K
+            K *= -0.5
+        else:
+            K *= math.sqrt(p.y)
+            # 2 nu log sech(dt) = -2 nu (dt + log(1 + e^{-2 dt}) - log 2)
+            tail = np.exp(-2.0 * K)
+            K += np.log1p(tail, out=tail)
+            K -= math.log(2.0)
+            K *= -(1.0 / p.y + 1.0)
+        np.exp(K, out=K)
+    K[mus[:, None] == mus[None, :]] = 1.0
+    return K
 
 
 def kernel_entry(n: int, m: int, p: ChannelParams) -> float:
     """Dephasing multiplier K_{n,m} = <c_n|c_m>."""
-    _check_index(n, p)
-    _check_index(m, p)
-    if n == m:
-        return 1.0
-    if p.lam == 0:
-        return math.exp(-0.5 * p.gamma * (n - m) ** 2)
-    return _entry_from_mu(mu(n, p), mu(m, p), p)
+    ns = np.array([n, m])
+    _check_index(ns, p)
+    return float(_kernel_from_mu(mu(ns, p), p)[0, 1])
 
 
 def kernel_matrix(p: ChannelParams, dim: int) -> KernelMatrix:
@@ -292,10 +306,7 @@ def kernel_matrix(p: ChannelParams, dim: int) -> KernelMatrix:
         raise DimensionError(
             f"dim {dim} exceeds the lam<0 space (dim {bound})"
         )
-    K = np.eye(dim)
-    for n in range(dim):
-        for m in range(n):
-            K[n, m] = K[m, n] = kernel_entry(n, m, p)
+    K = _kernel_from_mu(mu(np.arange(dim), p), p)
     np.clip(K, -1.0, 1.0, out=K)
     return KernelMatrix(dim=dim, entries=K)
 

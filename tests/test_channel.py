@@ -1,6 +1,8 @@
 """Channel forms: Hadamard action, Kraus family, complementary map,
 Gaussian decomposition, and the validation helpers built on them."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,18 @@ class TestCoherentInput:
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(out.entries, expected, atol=1e-14)
+
+    def test_large_negative_space(self):
+        """|3> on the d=1001 space of lam=-0.002: a valid state whose
+        diagonal is the coherent distribution projected onto the space."""
+        p = ChannelParams(gamma=0.2, lam=-0.002, omega=1.0)
+        out = coherent_input_output(3.0, p)
+        assert out.dim == 1001
+        k = np.arange(out.dim)
+        logw = k * np.log(9.0) - np.array([math.lgamma(x + 1) for x in k])
+        w = np.exp(logw - logw.max())
+        np.testing.assert_allclose(np.real(np.diag(out.entries)), w / w.sum(),
+                                   rtol=0, atol=1e-12)
 
 
 class TestGaussianDecomposition:

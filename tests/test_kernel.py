@@ -10,6 +10,8 @@ from kerrdeph import (
     kernel_entry,
     kernel_map,
     kernel_matrix,
+    kernel_oracle_table,
+    max_dimension,
     mu,
     overlap_closed_form,
     overlap_series,
@@ -104,6 +106,28 @@ def test_half_period_is_phase_flip():
     p = ChannelParams(gamma=8 * np.pi**2, lam=-1.0, omega=1.0)
     u = np.array([1.0, -1.0, 1.0])
     np.testing.assert_allclose(kernel_matrix(p, 3).entries, np.outer(u, u), atol=1e-8)
+
+
+@pytest.mark.parametrize("lam", [-0.02, -0.01])
+@pytest.mark.parametrize("gamma", [0.2, 1.0, 4.0])
+def test_large_negative_space_matches_oracle(lam, gamma):
+    """The Gram-product kernel on d = 101 and 201 levels against the dilation.
+
+    2 omega/|lam| is an integer here, so the oracle is exact.  The pairs mix
+    neighbours (K of order one), mirror pairs n + m near d - 1 (where
+    mu_n = mu_m and the kernel revives to 1) and far pairs.
+    """
+    p = ChannelParams(gamma=gamma, lam=lam, omega=1.0)
+    d = max_dimension(p)
+    ns = np.random.default_rng(11).integers(0, d - 3, size=10)
+    pairs = [(int(n), int(n) + 1 + i % 3) for i, n in enumerate(ns[:5])]
+    pairs += [(int(n), d - 3 - int(n) + i) for i, n in enumerate(ns[5:8])]
+    pairs += [(int(ns[8]), int(ns[9])), (0, d - 1)]
+    K = kernel_matrix(p, d).entries
+    cells = kernel_oracle_table(pairs, p)
+    worst = max(abs(K[n, m] - cell.value) for (n, m), cell in zip(pairs, cells))
+    assert worst <= 1e-12
+    assert K[0, d - 1] == 1.0
 
 
 def test_kernel_entry_beyond_negative_bound():
