@@ -40,12 +40,54 @@ __all__ = [
 KRAUS_CAP = 1_000_000
 
 
+def _certified_psd(h: np.ndarray) -> bool:
+    """True when a Cholesky factorization proves eigvalsh(h).min() >= -1e-10.
+
+    Let u be the unit roundoff and gamma_k = k*u / (1 - k*u).
+    - A Cholesky factorization of h + s*I that runs to completion gives
+      R^H R = h + s*I + E with |E| <= gamma_{n+1} |R^H| |R| (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., Thm 10.3; complex
+      arithmetic changes only the constant).  As || |R^H| |R| ||_2 <=
+      ||R||_F^2, lambda_min(h) >= -s - gamma_{n+1} ||R||_F^2.
+    - The diagonal of E gives tr E <= gamma_{n+1} ||R||_F^2, so ||R||_F^2 <=
+      (tr h + n*s) / (1 - gamma_{n+1}): about 1 for a state that passed the
+      trace check (fro2 below).
+    - Forming h + s*I rounds each diagonal entry by at most u*(|h_ii| + s).
+    - eigvalsh's computed minimum lies within p(n)*u*||h||_2 <= p(n)*u*||h||_F
+      of lambda_min(h), p(n) a modestly growing function of n (LAPACK Users'
+      Guide, 3rd ed., sec. 4.7), taken as c*n.
+    delta = 16 (n+2) u (fro2 + ||h||_F) covers the three with c and a safety
+    factor folded into the 16, so success at s = 1e-10 - delta means that
+    eigvalsh would accept h.  False means only "not certified": the
+    factorization failed, or delta >= 1e-10 (a large or badly scaled matrix).
+    """
+    n = h.shape[0]
+    u = np.finfo(float).eps / 2.0
+    fro2 = (1.0 + 1e-12 + n * 1e-10) / (1.0 - (n + 1) * u)
+    delta = 16.0 * (n + 2) * u * (fro2 + float(np.linalg.norm(h)))
+    if not delta < 1e-10:
+        return False
+    try:
+        np.linalg.cholesky(h + (1e-10 - delta) * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class DensityMatrix:
     """Complex Fock-basis matrix validated as a physical state.
 
-    Invariants enforced at construction: Hermitian to 1e-12, unit trace to
-    1e-12, smallest eigenvalue >= -1e-10.  Violations raise
-    InvalidStateError naming the residual.
+    Invariants enforced at construction: finite entries, Hermitian to 1e-12,
+    unit trace to 1e-12, smallest eigenvalue of the Hermitian part >= -1e-10.
+    Violations raise InvalidStateError naming the residual.
+
+    Positivity is first certified by a Cholesky factorization of the
+    Hermitian part shifted by slightly less than 1e-10 (see _certified_psd),
+    which costs a fraction of an eigenvalue solve and never accepts a state
+    the eigenvalue check would refuse.  When the factorization fails, or the
+    rounding margin it needs reaches 1e-10 (a large or badly scaled matrix),
+    the smallest eigenvalue is computed with eigvalsh and compared with
+    -1e-10 as before, so every refusal and its message are unchanged.
     """
 
     __slots__ = ("dim", "entries")
@@ -54,15 +96,20 @@ class DensityMatrix:
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidStateError(f"state must be square, got shape {entries.shape}")
+        bad = int(entries.size - np.count_nonzero(np.isfinite(entries)))
+        if bad:
+            raise InvalidStateError(f"state has {bad} non-finite entries")
         herm = float(np.abs(entries - entries.conj().T).max())
         if herm > 1e-12:
             raise InvalidStateError(f"Hermiticity residual {herm:.3e} > 1e-12")
         tr = float(abs(entries.trace().real - 1.0) + abs(entries.trace().imag))
         if tr > 1e-12:
             raise InvalidStateError(f"trace residual {tr:.3e} > 1e-12")
-        lo = float(np.linalg.eigvalsh((entries + entries.conj().T) / 2.0).min())
-        if lo < -1e-10:
-            raise InvalidStateError(f"min eigenvalue {lo:.3e} < -1e-10")
+        h = (entries + entries.conj().T) / 2.0
+        if not _certified_psd(h):
+            lo = float(np.linalg.eigvalsh(h).min())
+            if lo < -1e-10:
+                raise InvalidStateError(f"min eigenvalue {lo:.3e} < -1e-10")
         self.dim = entries.shape[0]
         self.entries = entries
 

@@ -73,9 +73,23 @@ def _load_state(spec: str, p: ChannelParams, dim):
     return DensityMatrix(entries), False
 
 
-def _state_payload(rho: DensityMatrix) -> dict:
-    flat = [[float(z.real), float(z.imag)] for z in rho.entries.ravel()]
-    return {"dim": rho.dim, "entries": flat}
+_ENTRIES = "@entries@"
+_ENTRY = "      [\n        %r,\n        %r\n      ]"
+
+
+def _report_text(payload: dict, entries: np.ndarray) -> str:
+    """json.dumps(payload, indent=2), with the string _ENTRIES at
+    payload["output"]["entries"] standing for the row-major [re, im] pairs
+    of `entries`.
+
+    The pairs are written from a template with repr, which is how json
+    writes a finite float (a DensityMatrix holds finite entries only); the
+    pure-Python indented encoder spent seconds on a d=1001 report.
+    """
+    head, tail = json.dumps(payload, indent=2).split(json.dumps(_ENTRIES))
+    pairs = np.ascontiguousarray(entries, dtype=complex).view(float).ravel()
+    block = ",\n".join([_ENTRY] * (pairs.size // 2)) % tuple(pairs.tolist())
+    return f"{head}[\n{block}\n    ]{tail}"
 
 
 def cmd_kernel_map(args) -> int:
@@ -110,11 +124,11 @@ def cmd_apply(args) -> int:
     spectrum = complementary_spectrum(diag / diag.sum(), p)
     payload = {
         "params": {"gamma": args.gamma, "lambda": args.lam, "omega": args.omega},
-        "output": _state_payload(out),
+        "output": {"dim": out.dim, "entries": _ENTRIES},
         "entropy_bits": von_neumann_entropy(out),
         "complementary_entropy_bits": shannon_entropy(spectrum),
     }
-    text = json.dumps(payload, indent=2)
+    text = _report_text(payload, out.entries)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -25,7 +25,8 @@ from kerrdeph import (
     verify_gaussian_decomposition,
     von_neumann_entropy,
 )
-from conftest import random_density, random_pure
+from conftest import (eigvalsh_verdict, random_density, random_pure,
+                      spectrum_with_min, state_with_spectrum, verdict)
 
 
 class TestDensityMatrix:
@@ -51,6 +52,58 @@ class TestDensityMatrix:
         m = np.array([[1.2, 0.0], [0.0, -0.2]])
         with pytest.raises(InvalidStateError):
             DensityMatrix(m)
+
+    @pytest.mark.parametrize("m", [
+        np.full((2, 2), np.nan),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+        np.diag([np.nan, 1.0]),
+    ], ids=["all-nan", "inf-coherence", "nan-population"])
+    def test_rejects_non_finite_entries(self, m):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            DensityMatrix(m)
+
+
+class TestPositivityCheck:
+    """The Cholesky certificate gives eigvalsh's verdict and message."""
+
+    @pytest.mark.parametrize("d", [2, 50, 400])
+    @pytest.mark.parametrize("lam_min", [-1e-9, -2e-10, -1.01e-10, -0.99e-10,
+                                         -1e-11, 0.0])
+    def test_prescribed_spectrum_near_threshold(self, rng, d, lam_min):
+        m = state_with_spectrum(rng, spectrum_with_min(rng, d, lam_min))
+        expected = eigvalsh_verdict(m)
+        assert (expected is None) == (lam_min >= -1e-10)
+        assert verdict(m) == expected
+
+    def _valid_states(self, rng):
+        v = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        v /= np.linalg.norm(v)
+        yield "rank-1", np.outer(v, v.conj())
+        yield "diagonal-with-zeros", np.diag([0.5, 0.0, 0.25, 0.0, 0.25, 0.0])
+        yield "ginibre-400", random_density(rng, 400).entries
+        for lam_min in (-1e-11, 0.0):
+            yield f"lam_min={lam_min}", state_with_spectrum(
+                rng, spectrum_with_min(rng, 400, lam_min))
+        p = ChannelParams(gamma=0.2, lam=-0.002, omega=1.0)
+        yield "coherent-d1001", coherent_input_output(3.0, p).entries
+
+    def test_valid_states_take_the_cholesky_path(self, rng, monkeypatch):
+        """Same verdict as eigvalsh, and no eigenvalue solve for these states,
+        the d=1001 coherent output of lam=-0.002 included."""
+        cases = list(self._valid_states(rng))
+        for name, m in cases:
+            assert eigvalsh_verdict(m) is None, name
+        calls = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or solve(a))
+        for name, m in cases:
+            assert verdict(m) is None, name
+        assert calls == []
+
+    def test_refusal_falls_back_to_eigvalsh(self):
+        m = np.array([[1.2, 0.0], [0.0, -0.2]])
+        assert verdict(m) == eigvalsh_verdict(m) == "min eigenvalue -2.000e-01 < -1e-10"
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.3])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kerrdeph.cli import main
+from kerrdeph.cli import _ENTRIES, _report_text, main
 
 
 def _write_state(path, dim, matrix):
@@ -92,6 +92,35 @@ def test_apply_state_file_roundtrip(tmp_path, capsys):
     assert entries[3][0] == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("entries", [
+    np.array([[0.5, -0.0], [-0.0, 0.5]]),
+    np.array([[5e-324, -2.2250738585072014e-308 + 1e-310j],
+              [1e300 - 4.9e-324j, 1.0]]),
+    np.array([[1.0, 2.0 - 3.0j, -0.0 + 7j], [0.1, 1 / 3, 1e16], [3.0, -1e-7, 2.5]]),
+    np.array([[1.0]]),
+], ids=["signed-zero", "subnormal-huge", "integer-valued", "dim-1"])
+def test_report_text_matches_json_dumps(entries):
+    params = {"gamma": 0.2, "lambda": -0.002, "omega": 1.0}
+    payload = {"params": params, "output": {"dim": len(entries), "entries": _ENTRIES},
+               "entropy_bits": np.float64(0.25), "complementary_entropy_bits": 0.0}
+    flat = [[float(z.real), float(z.imag)] for z in entries.ravel()]
+    expected = json.dumps(dict(payload, output={"dim": len(entries), "entries": flat}),
+                          indent=2)
+    assert _report_text(payload, entries) == expected
+
+
+def test_apply_report_is_indented_json(tmp_path, rng):
+    """The written report equals json.dumps(indent=2) of its own content."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    path = _write_state(tmp_path / "state.json", 4, rho / np.trace(rho).real)
+    out = tmp_path / "out.json"
+    assert main(["apply", "--state", path, "--gamma", "0.7", "--lambda", "-0.3",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_validate_passes_and_writes_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["validate", "--max-dim", "3", "--out", str(out)])
@@ -128,6 +157,12 @@ class TestExitCodes:
     def test_invalid_state_is_4(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "entries": [[1, 0]]}')
+        assert main(["apply", "--state", str(bad), "--gamma", "1",
+                     "--lambda", "0"]) == 4
+
+    def test_non_finite_state_is_4(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 2, "entries": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}')
         assert main(["apply", "--state", str(bad), "--gamma", "1",
                      "--lambda", "0"]) == 4
 

@@ -1,4 +1,5 @@
-"""Property tests of the kernel and the Kraus family over random parameters.
+"""Property tests of the kernel, the Kraus family and the state check
+over random parameters.
 
 lam < 0 draws include non-integer 2 omega/|lam|, which the fixed grids of
 the acceptance suite do not reach.
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from kerrdeph import (ChannelParams, kernel_entry, kernel_matrix, kraus_set,
                       max_dimension)
+from conftest import (eigvalsh_verdict, spectrum_with_min, state_with_spectrum,
+                      verdict)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -67,3 +70,16 @@ def test_kraus_family_is_complete_and_reproduces_the_kernel(case):
     D = ks.diagonals
     K = kernel_matrix(p, dim).entries
     assert np.abs(D.T @ D - K).max() <= 1e-12 + ks.completeness_residual
+
+
+@SETTINGS
+@given(st.integers(2, 40),
+       st.one_of(st.floats(-2e-10, 0.0),
+                 st.sampled_from([-1e-9, -1.01e-10, -1e-10, -0.99e-10, 0.0])),
+       st.integers(0, 2**32 - 1))
+def test_state_check_gives_the_eigvalsh_verdict(d, lam_min, seed):
+    """DensityMatrix accepts exactly when eigvalsh's smallest eigenvalue is
+    >= -1e-10, and refuses with the same message."""
+    rng = np.random.default_rng(seed)
+    m = state_with_spectrum(rng, spectrum_with_min(rng, d, lam_min))
+    assert verdict(m) == eigvalsh_verdict(m)
