@@ -77,8 +77,9 @@ def _certified_psd(h: np.ndarray) -> bool:
 class DensityMatrix:
     """Complex Fock-basis matrix validated as a physical state.
 
-    Invariants enforced at construction: finite entries, Hermitian to 1e-12,
-    unit trace to 1e-12, smallest eigenvalue of the Hermitian part >= -1e-10.
+    Invariants enforced at construction: a non-empty square matrix of finite
+    entries, Hermitian to 1e-12, unit trace to 1e-12, smallest eigenvalue of
+    the Hermitian part >= -1e-10.
     Violations raise InvalidStateError naming the residual.
 
     Positivity is first certified by a Cholesky factorization of the
@@ -94,18 +95,21 @@ class DensityMatrix:
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvalidStateError(f"state must be square, got shape {entries.shape}")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
+            raise InvalidStateError(
+                f"state must be square and non-empty, got shape {entries.shape}")
         bad = int(entries.size - np.count_nonzero(np.isfinite(entries)))
         if bad:
             raise InvalidStateError(f"state has {bad} non-finite entries")
-        herm = float(np.abs(entries - entries.conj().T).max())
+        adjoint = entries.conj().T
+        herm = float(np.abs(entries - adjoint).max())
         if herm > 1e-12:
             raise InvalidStateError(f"Hermiticity residual {herm:.3e} > 1e-12")
         tr = float(abs(entries.trace().real - 1.0) + abs(entries.trace().imag))
         if tr > 1e-12:
             raise InvalidStateError(f"trace residual {tr:.3e} > 1e-12")
-        h = (entries + entries.conj().T) / 2.0
+        h = (entries + adjoint) / 2.0
+        del adjoint  # not held through the factorization: one matrix less at peak
         if not _certified_psd(h):
             lo = float(np.linalg.eigvalsh(h).min())
             if lo < -1e-10:

@@ -1,22 +1,33 @@
 """Brute-force ground truth for the deformed dephasing channel.
 
 Everything here works directly from Definition-1 machinery: the dilation
-unitary U = exp[-i sqrt(gamma) (A^dag A) x (B + B^dag)] built by dense
-spectral decomposition, followed by exact partial traces.  No closed forms
-enter; this module is the arbiter for every analytic convention.
+unitary U = exp[-i sqrt(gamma) (A^dag A) x (B + B^dag)] and exact partial
+traces.  No closed forms enter; this module is the arbiter for every
+analytic convention.
 
 Because A^dag A is diagonal in the Fock basis, U is block-diagonal over the
 system index n, each block the environment exponential
-exp(-i mu_n (B + B^dag)) with mu_n = sqrt(gamma) n (1 + y n).  Blocks are
-computed via eigendecomposition of the real symmetric tridiagonal B + B^dag
-(exactly unitary by construction).
+exp(-i mu_n (B + B^dag)) with mu_n = sqrt(gamma) n (1 + y n).  The real
+symmetric tridiagonal generator B + B^dag = W diag(theta) W^T is
+diagonalised once per environment dimension, so every block is exactly
+unitary; build_unitary assembles the blocks literally.
 
-For lam > 0 the environment is truncated; every public result carries a
-convergence certificate from a dimension-doubling protocol.  For lam < 0
-the space is finite and results are exact in one shot.
+All blocks are functions of the one generator, so the vacuum columns
+x_n = U_n |0> have the Gram matrix
+<x_m, x_n> = sum_k W[0,k]^2 exp(i (mu_m - mu_n) theta_k).
+The system side needs nothing else: the kernel oracle is its real part and
+the channel output is rho * G^T.  Environment vectors are built only where
+the environment itself is the output (evolve_and_trace_system,
+displacement_apply).
+
+Every certified result climbs one ladder.  For lam < 0 the environment space
+is finite and one exact rung is the answer.  For lam >= 0 the environment
+dimension doubles from ENV_START to the cap, and an entry is certified once
+it moves by less than tol between two rungs, compared on the leading block
+the rungs share.  The kernel table stops each pair at its own rung; the
+evolutions stop when every entry is certified.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,7 +35,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .algebra import ChannelParams, max_dimension
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, DomainError
 from .kernel import CoherentVector, mu
 
 __all__ = [
@@ -85,6 +96,8 @@ class OracleKernelValue:
 
 def _env_dim_for(p: ChannelParams, requested: int | None) -> int:
     """Forced finite dimension for lam<0, else the requested/cap value."""
+    if requested is not None and requested < 1:
+        raise DimensionError(f"dim_e must be >= 1, got {requested}")
     bound = max_dimension(p)
     if bound is not None:
         return bound if requested is None else min(requested, bound)
@@ -110,14 +123,65 @@ def _block(p: ChannelParams, n: int, dim_e: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _vacuum_column(y: float, mu_value: float, dim_e: int) -> np.ndarray:
+def _vacuum_column(y: float, mu_value: complex, dim_e: int) -> np.ndarray:
+    """exp(-i mu (B+B^dag)) |0>; read-only, since the cache shares it."""
     theta, W = _env_eigensystem(y, dim_e)
-    return W @ (np.exp(-1j * mu_value * theta) * W[0, :])
+    v = np.exp(-1j * mu_value * theta) * W[0, :]
+    # two real products: W @ v with complex v would first copy W to complex
+    x = W @ v.real + 1j * (W @ v.imag)
+    x.flags.writeable = False
+    return x
 
 
-def _block_column(p: ChannelParams, n: int, dim_e: int) -> np.ndarray:
-    """Block n applied to the environment vacuum (state-independent, cached)."""
-    return _vacuum_column(p.y, mu(n, p), dim_e)
+def _gram(p: ChannelParams, deltas: np.ndarray, dim_e: int) -> np.ndarray:
+    """<x_m, x_n> = sum_k W[0,k]^2 exp(i delta theta_k) for each delta = mu_m - mu_n."""
+    theta, W = _env_eigensystem(p.y, dim_e)
+    return np.exp(1j * np.multiply.outer(deltas, theta)) @ (W[0, :] ** 2)
+
+
+def _ladder(p: ChannelParams, indices, dim_e: int | None, tol: float, evaluate):
+    """The certification ladder: yield (d, out, change, certified) per rung.
+
+    out = evaluate(d) at environment dimension d.  lam < 0: one exact rung
+    at the forced finite dimension (dim_e caps it), every entry certified.
+    lam >= 0: d doubles from ENV_START to the cap (dim_e, default ENV_CAP);
+    change is the entrywise distance to the previous rung on the leading
+    block the two share (inf on the first rung), and an entry is certified
+    when its change is below tol.  The caller stops drawing rungs once its
+    own rule is met; after the cap rung the ladder ends.
+
+    The Fock indices and dim_e are checked before any eigensystem is built.
+    """
+    indices = np.asarray(indices)
+    bound = max_dimension(p)
+    if indices.size and indices.min() < 0:
+        raise DomainError(f"Fock index must be >= 0, got {indices.min()}")
+    if bound is not None and indices.size and indices.max() >= bound:
+        raise DimensionError(
+            f"Fock index {indices.max()} exceeds the lam<0 space (dim {bound})"
+        )
+    cap = _env_dim_for(p, dim_e)
+
+    if bound is not None:
+        out = evaluate(cap)
+        yield cap, out, np.zeros(out.shape), np.ones(out.shape, dtype=bool)
+        return
+    d = min(ENV_START, cap)
+    prev = evaluate(d)
+    yield d, prev, np.full(prev.shape, np.inf), np.zeros(prev.shape, dtype=bool)
+    while d < cap:
+        d = min(2 * d, cap)
+        out = evaluate(d)
+        change = np.abs(out[tuple(map(slice, prev.shape))] - prev)
+        yield d, out, change, change < tol
+        prev = out
+
+
+def _uncertified(p: ChannelParams, d: int, change, tol: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"environment doubling hit the cap {d} with max change "
+        f"{np.max(change):.3e} >= {tol:.1e} (gamma={p.gamma}, lam={p.lam})"
+    )
 
 
 def build_unitary(p: ChannelParams, dim_s: int, dim_e: int) -> UnitaryDilation:
@@ -142,62 +206,46 @@ def build_unitary(p: ChannelParams, dim_s: int, dim_e: int) -> UnitaryDilation:
     return UnitaryDilation(dim_s=dim_s, dim_e=dim_e, matrix=U, unitarity_residual=residual)
 
 
-def _entries(rho) -> np.ndarray:
-    return np.asarray(getattr(rho, "entries", rho), dtype=complex)
+def _state(rho, dim_s: int | None) -> np.ndarray:
+    """Entries of rho as a complex (dim_s, dim_s) array."""
+    rho = np.asarray(getattr(rho, "entries", rho), dtype=complex)
+    if dim_s is None:
+        dim_s = rho.shape[0]
+    if dim_s < 1:
+        raise DimensionError(f"state must be non-empty, got dim_s={dim_s}")
+    if rho.shape != (dim_s, dim_s):
+        raise DimensionError(f"state shape {rho.shape} != ({dim_s}, {dim_s})")
+    return rho
 
 
-def _system_output(rho: np.ndarray, p: ChannelParams, dim_e: int) -> np.ndarray:
-    """Tr_E[U (rho x |0><0|) U^dag] via block columns x_n = U_n |0>."""
-    dim_s = rho.shape[0]
-    X = np.column_stack([_block_column(p, n, dim_e) for n in range(dim_s)])
-    G = X.conj().T @ X  # G[m, n] = <x_m, x_n>
-    # output_{nm} = rho_{nm} <x_m, x_n>
-    return rho * G.T
+def _evolve(rho: np.ndarray, p: ChannelParams, dim_e: int | None, tol: float,
+            strict: bool, evaluate) -> EvolveResult:
+    """Climb the ladder until every entry of evaluate(d) is certified."""
+    for d, out, change, certified in _ladder(p, range(len(rho)), dim_e, tol, evaluate):
+        if certified.all():
+            return EvolveResult(matrix=out, dim_e=d, converged=True, change=change)
+    if strict:
+        raise _uncertified(p, d, change, tol)
+    return EvolveResult(matrix=out, dim_e=d, converged=False, change=change)
 
 
 def evolve_and_trace(rho, p: ChannelParams, dim_s: int | None = None,
                      dim_e: int | None = None, tol: float = CONV_TOL,
                      strict: bool = True) -> EvolveResult:
-    """Channel output by explicit dilation and exact environment trace.
+    """Channel output Tr_E[U (rho x |0><0|) U^dag] by the dilation.
 
+    output_{nm} = rho_{nm} <x_m, x_n>, the Gram matrix of the vacuum columns.
     lam < 0: single exact shot on the forced finite environment.
     lam >= 0: environment dimension doubles from ENV_START until the output
     changes by less than tol entrywise (cap dim_e, default ENV_CAP); with
     strict=True non-convergence raises, otherwise the certificate in the
     returned EvolveResult reports per-entry changes.
     """
-    rho = _entries(rho)
-    if dim_s is None:
-        dim_s = rho.shape[0]
-    if rho.shape != (dim_s, dim_s):
-        raise DimensionError(f"state shape {rho.shape} != ({dim_s}, {dim_s})")
-    bound = max_dimension(p)
-    if bound is not None and dim_s > bound:
-        raise DimensionError(f"dim_s {dim_s} exceeds the lam<0 space (dim {bound})")
-
-    if p.lam < 0:
-        d = _env_dim_for(p, dim_e)
-        out = _system_output(rho, p, d)
-        return EvolveResult(matrix=out, dim_e=d, converged=True,
-                            change=np.zeros_like(rho, dtype=float))
-
-    cap = ENV_CAP if dim_e is None else dim_e
-    d = min(ENV_START, cap)
-    prev = _system_output(rho, p, d)
-    change = np.full(rho.shape, np.inf)
-    while d < cap:
-        d = min(2 * d, cap)
-        out = _system_output(rho, p, d)
-        change = np.abs(out - prev)
-        if change.max() < tol:
-            return EvolveResult(matrix=out, dim_e=d, converged=True, change=change)
-        prev = out
-    if strict:
-        raise ConvergenceError(
-            f"environment doubling hit the cap {cap} with max change "
-            f"{change.max():.3e} >= {tol:.1e} (gamma={p.gamma}, lam={p.lam})"
-        )
-    return EvolveResult(matrix=prev, dim_e=d, converged=False, change=change)
+    rho = _state(rho, dim_s)
+    mus = mu(np.arange(len(rho)), p)
+    deltas = np.subtract.outer(mus, mus)  # deltas[m, n] = mu_m - mu_n
+    return _evolve(rho, p, dim_e, tol, strict,
+                   lambda d: rho * _gram(p, deltas, d).T)
 
 
 def evolve_and_trace_system(rho, p: ChannelParams, dim_s: int | None = None,
@@ -208,75 +256,22 @@ def evolve_and_trace_system(rho, p: ChannelParams, dim_s: int | None = None,
     Equals sum_n rho_nn |x_n><x_n| with x_n = U_n|0>; the doubling protocol
     compares successive outputs on their common (smaller) dimension.
     """
-    rho = _entries(rho)
-    if dim_s is None:
-        dim_s = rho.shape[0]
-    if rho.shape != (dim_s, dim_s):
-        raise DimensionError(f"state shape {rho.shape} != ({dim_s}, {dim_s})")
-    bound = max_dimension(p)
-    if bound is not None and dim_s > bound:
-        raise DimensionError(f"dim_s {dim_s} exceeds the lam<0 space (dim {bound})")
+    rho = _state(rho, dim_s)
+    mus = mu(np.arange(len(rho)), p)
     diag = np.real(np.diag(rho))
 
     def env_out(d):
-        X = np.column_stack([_block_column(p, n, d) for n in range(dim_s)])
+        X = np.column_stack([_vacuum_column(p.y, m, d) for m in mus])
         return (X * diag) @ X.conj().T
 
-    if p.lam < 0:
-        d = _env_dim_for(p, dim_e)
-        out = env_out(d)
-        return EvolveResult(matrix=out, dim_e=d, converged=True,
-                            change=np.zeros((d, d)))
-
-    cap = ENV_CAP if dim_e is None else dim_e
-    d = min(ENV_START, cap)
-    prev = env_out(d)
-    change = np.full((d, d), np.inf)
-    while d < cap:
-        dprev, d = d, min(2 * d, cap)
-        out = env_out(d)
-        change = np.abs(out[:dprev, :dprev] - prev)
-        if change.max() < tol:
-            return EvolveResult(matrix=out, dim_e=d, converged=True, change=change)
-        prev = out
-    if strict:
-        raise ConvergenceError(
-            f"environment doubling hit the cap {cap} with max change "
-            f"{change.max():.3e} >= {tol:.1e} (gamma={p.gamma}, lam={p.lam})"
-        )
-    return EvolveResult(matrix=prev, dim_e=d, converged=False, change=change)
+    return _evolve(rho, p, dim_e, tol, strict, env_out)
 
 
 def kernel_oracle_certified(n: int, m: int, p: ChannelParams,
                             dim_e: int | None = None,
                             tol: float = CONV_TOL) -> OracleKernelValue:
-    """Kernel value <x_m, x_n> from dilation blocks, with certificate."""
-    if p.lam < 0:
-        d = _env_dim_for(p, dim_e)
-        xn = _block_column(p, n, d)
-        xm = _block_column(p, m, d)
-        val = complex(xm.conj() @ xn)
-        return OracleKernelValue(value=float(val.real), dim_e=d,
-                                 converged=True, change=0.0)
-    cap = ENV_CAP if dim_e is None else dim_e
-    d = min(ENV_START, cap)
-
-    def overlap(d_):
-        xn = _block_column(p, n, d_)
-        xm = _block_column(p, m, d_)
-        return complex(xm.conj() @ xn).real
-
-    prev = overlap(d)
-    change = math.inf
-    while d < cap:
-        d = min(2 * d, cap)
-        val = overlap(d)
-        change = abs(val - prev)
-        if change < tol:
-            return OracleKernelValue(value=val, dim_e=d, converged=True,
-                                     change=change)
-        prev = val
-    return OracleKernelValue(value=prev, dim_e=d, converged=False, change=change)
+    """Kernel value <x_m, x_n> from the dilation, with certificate."""
+    return kernel_oracle_table([(n, m)], p, dim_e=dim_e, tol=tol)[0]
 
 
 def kernel_oracle(n: int, m: int, p: ChannelParams,
@@ -284,63 +279,39 @@ def kernel_oracle(n: int, m: int, p: ChannelParams,
     """Brute-force kernel value; raises ConvergenceError at the cap."""
     res = kernel_oracle_certified(n, m, p, dim_e=dim_e, tol=tol)
     if not res.converged:
-        raise ConvergenceError(
-            f"kernel_oracle({n},{m}) not converged at cap {res.dim_e}: "
-            f"last change {res.change:.3e} (gamma={p.gamma}, lam={p.lam})"
-        )
+        raise _uncertified(p, res.dim_e, res.change, tol)
     return res.value
 
 
 def kernel_oracle_table(pairs, p: ChannelParams, dim_e: int | None = None,
                         tol: float = CONV_TOL):
-    """Certified oracle values for many (n, m) pairs at once.
+    """Certified oracle values Re <x_m, x_n> for many (n, m) pairs at once.
 
-    All pairs share one generator eigendecomposition per doubling rung:
-    <x_m, x_n> = <0| e^{i (mu_m - mu_n)(B+B^dag)} |0> because every block is
-    an exponential of the same Hermitian matrix.  Returns a list of
-    OracleKernelValue in the order of pairs.
+    All pairs share one generator eigendecomposition per rung, and each
+    pair keeps the value, dimension and change of the first rung that
+    certifies it.  Returns a list of OracleKernelValue in the order of pairs.
     """
     pairs = list(pairs)
     deltas = np.array([mu(m, p) - mu(n, p) for (n, m) in pairs])
-
-    def g_at(d):
-        theta, W = _env_eigensystem(p.y, d)
-        w2 = W[0, :] ** 2
-        return (np.exp(1j * np.outer(deltas, theta)) @ w2).real
-
-    if p.lam < 0:
-        d = _env_dim_for(p, dim_e)
-        vals = g_at(d)
-        return [OracleKernelValue(float(v), d, True, 0.0) for v in vals]
-
-    cap = ENV_CAP if dim_e is None else dim_e
-    d = min(ENV_START, cap)
-    prev = g_at(d)
-    out = [None] * len(pairs)
-    last_change = np.full(len(pairs), math.inf)
-    while d < cap and any(r is None for r in out):
-        d = min(2 * d, cap)
-        vals = g_at(d)
-        change = np.abs(vals - prev)
-        for i in range(len(pairs)):
-            if out[i] is None:
-                last_change[i] = change[i]
-                if change[i] < tol:
-                    out[i] = OracleKernelValue(float(vals[i]), d, True,
-                                               float(change[i]))
-        prev = vals
-    for i in range(len(pairs)):
-        if out[i] is None:
-            out[i] = OracleKernelValue(float(prev[i]), d, False,
-                                       float(last_change[i]))
-    return out
+    value = np.zeros(len(pairs))
+    dims = np.zeros(len(pairs), dtype=int)
+    change = np.full(len(pairs), np.inf)
+    done = np.zeros(len(pairs), dtype=bool)
+    for d, vals, step, certified in _ladder(p, np.ravel(pairs), dim_e, tol,
+                                            lambda d: _gram(p, deltas, d).real):
+        live = ~done
+        value[live], dims[live], change[live] = vals[live], d, step[live]
+        done |= certified
+        if done.all():
+            break
+    return [OracleKernelValue(float(v), int(k), bool(c), float(x))
+            for v, k, c, x in zip(value, dims, done, change)]
 
 
 def displacement_apply(mu_value: complex, p: ChannelParams,
                        dim_e: int | None = None) -> CoherentVector:
     """exp(-i mu (B+B^dag)) |0> by spectral decomposition (complex mu allowed)."""
     d = _env_dim_for(p, dim_e)
-    theta, W = _env_eigensystem(p.y, d)
-    amps = W @ (np.exp(-1j * complex(mu_value) * theta) * W[0, :])
+    amps = _vacuum_column(p.y, complex(mu_value), d)
     tail = float(np.sum(np.abs(amps[-4:]) ** 2)) if p.lam >= 0 else 0.0
     return CoherentVector(env_dim=d, amplitudes=amps, tail_bound=tail)

@@ -44,6 +44,10 @@ class TestDensityMatrix:
         with pytest.raises(InvalidStateError):
             DensityMatrix(m)
 
+    def test_rejects_empty_state(self):
+        with pytest.raises(InvalidStateError, match="non-empty"):
+            DensityMatrix(np.zeros((0, 0)))
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.eye(2))

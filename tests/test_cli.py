@@ -166,6 +166,11 @@ class TestExitCodes:
         assert main(["apply", "--state", str(bad), "--gamma", "1",
                      "--lambda", "0"]) == 4
 
+    def test_empty_state_is_4(self, tmp_path):
+        path = _write_state(tmp_path / "empty.json", 0, np.zeros((0, 0)))
+        assert main(["apply", "--state", path, "--gamma", "1",
+                     "--lambda", "0"]) == 4
+
     def test_unnormalized_state_is_4(self, tmp_path):
         path = _write_state(tmp_path / "unnorm.json", 2, np.eye(2))
         assert main(["apply", "--state", path, "--gamma", "1",

@@ -11,6 +11,8 @@ import pytest
 from kerrdeph import (
     ChannelParams,
     ConvergenceError,
+    DimensionError,
+    DomainError,
     apply,
     build_unitary,
     displacement_apply,
@@ -22,6 +24,7 @@ from kerrdeph import (
     kernel_oracle,
     kernel_oracle_table,
 )
+from kerrdeph import oracle
 from conftest import random_density
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "kernel_oracle_reference.csv"
@@ -88,6 +91,46 @@ def test_oracle_table_reports_per_entry_convergence():
     assert not all(c.converged for c in cells)
     for c in cells:
         assert c.change >= 0.0
+
+
+_FINITE = ChannelParams(gamma=1.0, lam=-0.5, omega=1.0)
+_OPEN = ChannelParams(gamma=1.0, lam=0.5, omega=1.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: kernel_oracle_table([(0, 9)], _FINITE), DimensionError),
+    (lambda: kernel_oracle_table([(-1, 1)], _OPEN), DomainError),
+    (lambda: kernel_oracle_table([(0, 1)], _OPEN, dim_e=0), DimensionError),
+    (lambda: evolve_and_trace_system(np.zeros((0, 0)), _OPEN), DimensionError),
+    (lambda: displacement_apply(0.3, _OPEN, dim_e=0), DimensionError),
+], ids=["index-past-lam<0-space", "negative-index", "dim_e-0", "empty-state",
+        "displacement-dim_e-0"])
+def test_oracle_refuses_bad_requests_before_any_eigensystem(call, error, monkeypatch):
+    def no_eigensystem(*args):
+        raise AssertionError("eigensystem built before the request was checked")
+
+    monkeypatch.setattr(oracle, "_env_eigensystem", no_eigensystem)
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("lam, dim_s, dim_e", [(0.4, 4, 16), (-0.5, 5, 5)])
+def test_gram_route_matches_literal_dilation(lam, dim_s, dim_e, rng):
+    """Both partial traces of U (rho x |0><0|) U^dag, with U assembled block
+    by block, equal the two evolutions at the same environment dimension."""
+    p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
+    u = build_unitary(p, dim_s=dim_s, dim_e=dim_e).matrix
+    rho = random_density(rng, dim_s).entries
+    vac = np.zeros((dim_e, dim_e))
+    vac[0, 0] = 1.0
+    joint = (u @ np.kron(rho, vac) @ u.conj().T).reshape(dim_s, dim_e, dim_s, dim_e)
+    system = evolve_and_trace(rho, p, dim_e=dim_e, strict=False)
+    environment = evolve_and_trace_system(rho, p, dim_e=dim_e, strict=False)
+    assert system.dim_e == environment.dim_e == dim_e
+    np.testing.assert_allclose(system.matrix, np.einsum("nkmk->nm", joint),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(environment.matrix, np.einsum("nknl->kl", joint),
+                               rtol=0, atol=1e-12)
 
 
 def test_unitary_dilation_is_unitary():
