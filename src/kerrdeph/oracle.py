@@ -7,21 +7,30 @@ analytic convention.
 
 Because A^dag A is diagonal in the Fock basis, U is block-diagonal over the
 system index n, each block the environment exponential
-exp(-i mu_n (B + B^dag)) with mu_n = sqrt(gamma) n (1 + y n).  The real
-symmetric tridiagonal generator B + B^dag = W diag(theta) W^T is
-diagonalised once per environment dimension, so every block is exactly
-unitary; build_unitary assembles the blocks literally.
+exp(-i mu_n (B + B^dag)) with mu_n = sqrt(gamma) n (1 + y n).  The
+generator B + B^dag = W diag(theta) W^T is real symmetric tridiagonal with
+zero diagonal and couplings b_k = sqrt(k f(k)^2).  build_unitary is the only
+user of the eigenvector matrix W: it assembles the blocks literally.
 
-All blocks are functions of the one generator, so the vacuum columns
-x_n = U_n |0> have the Gram matrix
-<x_m, x_n> = sum_k W[0,k]^2 exp(i (mu_m - mu_n) theta_k).
+Everything else needs only the nodes theta_k and the vacuum weights
+w_k = W[0,k]^2 (Golub & Welsch).  The nodes are the eigenvalues of the
+generator; the rows W[j,:] follow from the three-term recurrence
+v_{j+1} = (theta v_j - b_j v_{j-1}) / b_{j+1} from v_0 = 1 at every node,
+renormalised at each step and with the log of the norm carried, so nothing
+overflows and far nodes underflow to weight 0.  Both are built only on the
+block the vacuum reaches: a coupling that is exactly 0 (the top level of
+the lam<0 space at integer 2 omega/|lam|) splits the generator there.
+
+The vacuum columns x_n = U_n |0> have the Gram matrix
+<x_m, x_n> = sum_k w_k exp(i (mu_m - mu_n) theta_k).
 The system side needs nothing else: the kernel oracle is its real part and
-the channel output is rho * G^T.  Environment vectors are built only where
-the environment itself is the output (evolve_and_trace_system,
-displacement_apply).
+the channel output is rho * G^T.  Environment vectors
+x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k) are built only where the
+environment itself is the output (evolve_and_trace_system,
+displacement_apply), one recurrence pass over the rows for all columns.
 
-Every certified result climbs one ladder.  For lam < 0 the environment space
-is finite and one exact rung is the answer.  For lam >= 0 the environment
+Every certified result climbs one ladder.  For lam < 0 at the whole finite
+environment space one exact rung is the answer.  Otherwise the environment
 dimension doubles from ENV_START to the cap, and an entry is certified once
 it moves by less than tol between two rungs, compared on the leading block
 the rungs share.  The kernel table stops each pair at its own rung; the
@@ -32,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .algebra import ChannelParams, max_dimension
 from .errors import ConvergenceError, DimensionError, DomainError
@@ -76,8 +85,8 @@ class EvolveResult:
     """Output of a brute-force evolution with its convergence certificate.
 
     change holds the per-entry absolute difference between the last two
-    doubling rungs (zeros for the exact lam<0 single shot); converged is
-    the all-entries verdict at CONV_TOL.
+    doubling rungs (zeros for the exact single shot on the whole lam<0
+    space); converged is the all-entries verdict at CONV_TOL.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -104,51 +113,103 @@ def _env_dim_for(p: ChannelParams, requested: int | None) -> int:
     return ENV_CAP if requested is None else requested
 
 
-# one full doubling ladder (64..4096 is 7 rungs) must stay resident, or
-# repeated evolutions at the same parameters recompute every eigensystem
-@lru_cache(maxsize=8)
-def _env_eigensystem(y: float, dim_e: int):
-    """Eigendecomposition of B + B^dag (tridiagonal, off-diagonal sqrt(k f(k)^2))."""
+def _couplings(y: float, dim_e: int) -> np.ndarray:
+    """Off-diagonal b_k = sqrt(k f(k)^2), k = 1..dim_e-1, of B + B^dag."""
     k = np.arange(1, dim_e)
-    off = np.sqrt(k * np.maximum(1.0 + y * k, 0.0))
-    theta, W = eigh_tridiagonal(np.zeros(dim_e), off)
-    return theta, W
+    return np.sqrt(k * np.maximum(1.0 + y * k, 0.0))
 
 
-def _block(p: ChannelParams, n: int, dim_e: int) -> np.ndarray:
-    """System-index-n block of the dilation: exp(-i mu_n (B+B^dag))."""
-    theta, W = _env_eigensystem(p.y, dim_e)
-    phase = np.exp(-1j * mu(n, p) * theta)
-    return (W * phase) @ W.T
+def _vacuum_block(y: float, dim_e: int) -> np.ndarray:
+    """Couplings of the block the vacuum reaches: cut at the first zero."""
+    off = _couplings(y, dim_e)
+    zero = np.flatnonzero(off == 0.0)
+    return off[:zero[0]] if zero.size else off
+
+
+def _walk(theta: np.ndarray, off: np.ndarray):
+    """v_{j+1} = (theta v_j - b_j v_{j-1}) / b_{j+1} from v_0 = 1, at all nodes.
+
+    Yields (c, g) for j = 1 .. len(off): c = v_j / |v_0..v_j| and
+    g = |v_0..v_j| / |v_0..v_{j-1}| >= 1, so no value overflows.
+    """
+    a, c = np.zeros_like(theta), np.ones_like(theta)
+    b_prev = 0.0
+    for b in off:
+        u = (theta * c - b_prev * a) / b
+        g = np.sqrt(1.0 + u * u)
+        a, c = c / g, u / g
+        b_prev = b
+        yield c, g
+
+
+# entries are O(dim_e), so the ladders (64..4096 is 7 rungs) of several
+# parameter sets stay resident between the calls that share them
+@lru_cache(maxsize=64)
+def _env_eigensystem(y: float, dim_e: int):
+    """Nodes theta_k and vacuum weights w_k = W[0,k]^2 of B + B^dag.
+
+    Both live on the block the vacuum reaches (see _vacuum_block); the
+    weights are 1 / |v|^2 of the recurrence, carried in logs.  Read-only,
+    since the cache shares them.
+    """
+    off = _vacuum_block(y, dim_e)
+    theta = eigvalsh_tridiagonal(np.zeros(off.size + 1), off)
+    log_norm = np.zeros_like(theta)
+    for _c, g in _walk(theta, off):
+        log_norm += np.log(g)
+    w = np.exp(-2.0 * log_norm)
+    theta.flags.writeable = False
+    w.flags.writeable = False
+    return theta, w
+
+
+def _env_vectors(y: float, mus, dim_e: int) -> np.ndarray:
+    """Columns exp(-i mu (B+B^dag)) |0>, one per mu, as a (dim_e, len(mus)) array.
+
+    x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k), with the rows W[j,:]
+    generated by the recurrence in one pass.  W[0,k] exp(-i mu theta_k) is
+    formed in logs, so a complex mu neither overflows at far nodes nor
+    magnifies the rounding error of their tiny weights.
+    """
+    theta, w = _env_eigensystem(y, dim_e)
+    with np.errstate(divide="ignore"):
+        head = np.exp(0.5 * np.log(w)[:, None]
+                      - 1j * np.multiply.outer(theta, np.asarray(mus, dtype=complex)))
+    X = np.zeros((dim_e, head.shape[1]), dtype=complex)
+    scale = np.sqrt(w)  # |v_0..v_j| / |v|, so that W[j,:] = c * scale
+    X[0] = scale @ head
+    for j, (c, g) in enumerate(_walk(theta, _vacuum_block(y, dim_e)), start=1):
+        scale = scale * g
+        X[j] = (c * scale) @ head
+    return X
 
 
 @lru_cache(maxsize=1024)
 def _vacuum_column(y: float, mu_value: complex, dim_e: int) -> np.ndarray:
     """exp(-i mu (B+B^dag)) |0>; read-only, since the cache shares it."""
-    theta, W = _env_eigensystem(y, dim_e)
-    v = np.exp(-1j * mu_value * theta) * W[0, :]
-    # two real products: W @ v with complex v would first copy W to complex
-    x = W @ v.real + 1j * (W @ v.imag)
+    x = np.ascontiguousarray(_env_vectors(y, [mu_value], dim_e)[:, 0])
     x.flags.writeable = False
     return x
 
 
 def _gram(p: ChannelParams, deltas: np.ndarray, dim_e: int) -> np.ndarray:
-    """<x_m, x_n> = sum_k W[0,k]^2 exp(i delta theta_k) for each delta = mu_m - mu_n."""
-    theta, W = _env_eigensystem(p.y, dim_e)
-    return np.exp(1j * np.multiply.outer(deltas, theta)) @ (W[0, :] ** 2)
+    """<x_m, x_n> = sum_k w_k exp(i delta theta_k) for each delta = mu_m - mu_n."""
+    theta, w = _env_eigensystem(p.y, dim_e)
+    return np.exp(1j * np.multiply.outer(deltas, theta)) @ w
 
 
 def _ladder(p: ChannelParams, indices, dim_e: int | None, tol: float, evaluate):
     """The certification ladder: yield (d, out, change, certified) per rung.
 
-    out = evaluate(d) at environment dimension d.  lam < 0: one exact rung
-    at the forced finite dimension (dim_e caps it), every entry certified.
-    lam >= 0: d doubles from ENV_START to the cap (dim_e, default ENV_CAP);
-    change is the entrywise distance to the previous rung on the leading
-    block the two share (inf on the first rung), and an entry is certified
-    when its change is below tol.  The caller stops drawing rungs once its
-    own rule is met; after the cap rung the ladder ends.
+    out = evaluate(d) at environment dimension d.  lam < 0 with the cap at
+    the whole finite space (dim_e absent or not below it): one exact rung,
+    every entry certified.  Otherwise d doubles from ENV_START to the cap
+    (dim_e, default ENV_CAP), so a truncated lam<0 environment is certified
+    by the ladder alone; change is the entrywise distance to the previous
+    rung on the leading block the two share (inf on the first rung), and an
+    entry is certified when its change is below tol.  The caller stops
+    drawing rungs once its own rule is met; after the cap rung the ladder
+    ends.
 
     The Fock indices and dim_e are checked before any eigensystem is built.
     """
@@ -162,7 +223,7 @@ def _ladder(p: ChannelParams, indices, dim_e: int | None, tol: float, evaluate):
         )
     cap = _env_dim_for(p, dim_e)
 
-    if bound is not None:
+    if cap == bound:
         out = evaluate(cap)
         yield cap, out, np.zeros(out.shape), np.ones(out.shape, dtype=bool)
         return
@@ -184,6 +245,11 @@ def _uncertified(p: ChannelParams, d: int, change, tol: float) -> ConvergenceErr
     )
 
 
+def _block(theta: np.ndarray, W: np.ndarray, mu_n: float) -> np.ndarray:
+    """One block of the dilation: exp(-i mu_n (B+B^dag)) from the dense W."""
+    return (W * np.exp(-1j * mu_n * theta)) @ W.T
+
+
 def build_unitary(p: ChannelParams, dim_s: int, dim_e: int) -> UnitaryDilation:
     """Assemble the dense dim_s*dim_e unitary and report its unitarity residual."""
     if dim_s < 1 or dim_e < 1:
@@ -199,9 +265,10 @@ def build_unitary(p: ChannelParams, dim_s: int, dim_e: int) -> UnitaryDilation:
         )
     D = dim_s * dim_e
     U = np.zeros((D, D), dtype=complex)
+    theta, W = eigh_tridiagonal(np.zeros(dim_e), _couplings(p.y, dim_e))
     for n in range(dim_s):
         sl = slice(n * dim_e, (n + 1) * dim_e)
-        U[sl, sl] = _block(p, n, dim_e)
+        U[sl, sl] = _block(theta, W, mu(n, p))
     residual = float(np.abs(U.conj().T @ U - np.eye(D)).max())
     return UnitaryDilation(dim_s=dim_s, dim_e=dim_e, matrix=U, unitarity_residual=residual)
 
@@ -235,11 +302,12 @@ def evolve_and_trace(rho, p: ChannelParams, dim_s: int | None = None,
     """Channel output Tr_E[U (rho x |0><0|) U^dag] by the dilation.
 
     output_{nm} = rho_{nm} <x_m, x_n>, the Gram matrix of the vacuum columns.
-    lam < 0: single exact shot on the forced finite environment.
-    lam >= 0: environment dimension doubles from ENV_START until the output
-    changes by less than tol entrywise (cap dim_e, default ENV_CAP); with
-    strict=True non-convergence raises, otherwise the certificate in the
-    returned EvolveResult reports per-entry changes.
+    lam < 0: single exact shot on the whole finite environment space.
+    lam >= 0, or a lam<0 dim_e below that space: the environment dimension
+    doubles from ENV_START until the output changes by less than tol
+    entrywise (cap dim_e, default ENV_CAP); with strict=True
+    non-convergence raises, otherwise the certificate in the returned
+    EvolveResult reports per-entry changes.
     """
     rho = _state(rho, dim_s)
     mus = mu(np.arange(len(rho)), p)
@@ -261,7 +329,7 @@ def evolve_and_trace_system(rho, p: ChannelParams, dim_s: int | None = None,
     diag = np.real(np.diag(rho))
 
     def env_out(d):
-        X = np.column_stack([_vacuum_column(p.y, m, d) for m in mus])
+        X = _env_vectors(p.y, mus, d)
         return (X * diag) @ X.conj().T
 
     return _evolve(rho, p, dim_e, tol, strict, env_out)

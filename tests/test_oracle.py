@@ -7,6 +7,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, expm
 
 from kerrdeph import (
     ChannelParams,
@@ -23,6 +24,7 @@ from kerrdeph import (
     kernel_matrix,
     kernel_oracle,
     kernel_oracle_table,
+    max_dimension,
 )
 from kerrdeph import oracle
 from conftest import random_density
@@ -93,6 +95,67 @@ def test_oracle_table_reports_per_entry_convergence():
         assert c.change >= 0.0
 
 
+def test_truncated_negative_branch_is_certified_by_the_ladder_alone():
+    """A lam<0 environment cut below its finite space is not exact: with one
+    rung there is nothing to certify it, and the whole space is needed."""
+    p = ChannelParams(gamma=1.0, lam=-0.1, omega=1.0)
+    cut = kernel_oracle_table([(0, 4)], p, dim_e=8)[0]
+    assert (cut.dim_e, cut.converged, cut.change) == (8, False, math.inf)
+    full = kernel_oracle_table([(0, 4)], p)[0]
+    assert (full.dim_e, full.converged) == (21, True)
+    assert full.value == pytest.approx(kernel_entry(0, 4, p), abs=1e-12)
+    assert abs(cut.value - full.value) > 1e-3
+
+    q = ChannelParams(gamma=1.0, lam=-0.13, omega=1.0)
+    rho = random_density(np.random.default_rng(5), 4)
+    assert not evolve_and_trace(rho, q, dim_e=8, strict=False).converged
+    with pytest.raises(ConvergenceError):
+        evolve_and_trace(rho, q, dim_e=8)
+    assert evolve_and_trace(rho, q, dim_e=100).dim_e == 16
+
+
+def _first_row_weights(y, dim_e):
+    """Nodes and W[0,:]^2 of B + B^dag from the dense eigenvector matrix."""
+    theta, W = eigh_tridiagonal(np.zeros(dim_e), oracle._couplings(y, dim_e))
+    return theta, W[0, :] ** 2, W
+
+
+@pytest.mark.parametrize("y", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("dim_e", [64, 512])
+def test_recurrence_weights_match_eigenvector_first_row(y, dim_e):
+    theta, w = oracle._env_eigensystem(y, dim_e)
+    ref_theta, ref_w, _ = _first_row_weights(y, dim_e)
+    np.testing.assert_allclose(theta, ref_theta, rtol=1e-13, atol=1e-12)
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("ratio", [20.0, 20.0000001, 2 / 0.13],
+                         ids=["integer", "near-integer", "non-integer"])
+def test_recurrence_weights_on_the_negative_branch(ratio):
+    """2 omega/|lam| = ratio.  At an integer the top level decouples (zero
+    coupling) and the weights live on the block below it; its own node
+    carries no vacuum weight."""
+    p = ChannelParams(gamma=1.0, lam=-2.0 / ratio, omega=1.0)
+    dim_e = max_dimension(p)
+    theta, w = oracle._env_eigensystem(p.y, dim_e)
+    ref_theta, ref_w, W = _first_row_weights(p.y, dim_e)
+    if ratio == 20.0:
+        assert theta.size == dim_e - 1
+        top = np.argmax(np.abs(W[-1, :]))
+        assert ref_w[top] < 1e-30
+        ref_theta, ref_w = np.delete(ref_theta, top), np.delete(ref_w, top)
+    np.testing.assert_allclose(theta, ref_theta, rtol=1e-13, atol=1e-12)
+    np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-14)
+
+
+def test_env_eigensystem_holds_no_dense_matrix():
+    """The cached nodes and weights are O(dim_e) and read-only."""
+    arrays = oracle._env_eigensystem(0.25, 1024)
+    for a in arrays:
+        assert a.ndim == 1 and a.size <= 1024
+        assert not a.flags.writeable
+
+
 _FINITE = ChannelParams(gamma=1.0, lam=-0.5, omega=1.0)
 _OPEN = ChannelParams(gamma=1.0, lam=0.5, omega=1.0)
 
@@ -114,7 +177,8 @@ def test_oracle_refuses_bad_requests_before_any_eigensystem(call, error, monkeyp
         call()
 
 
-@pytest.mark.parametrize("lam, dim_s, dim_e", [(0.4, 4, 16), (-0.5, 5, 5)])
+@pytest.mark.parametrize("lam, dim_s, dim_e", [(0.4, 4, 16), (-0.5, 5, 5),
+                                              (-0.13, 4, 16), (0.0, 4, 16)])
 def test_gram_route_matches_literal_dilation(lam, dim_s, dim_e, rng):
     """Both partial traces of U (rho x |0><0|) U^dag, with U assembled block
     by block, equal the two evolutions at the same environment dimension."""
@@ -141,15 +205,27 @@ def test_unitary_dilation_is_unitary():
 
 def test_displacement_of_vacuum_is_poisson_at_flat_limit():
     """exp(-i mu (B+B^dag))|0> at lam=0 is a coherent state of amplitude
-    -i*mu, i.e. Poisson magnitudes with (-i)^n phases."""
+    -i*mu: e^{-mu^2/2} (-i mu)^n / sqrt(n!), Poisson magnitudes for real mu.
+    A complex mu is checked at the default (largest) environment."""
     p = ChannelParams(gamma=1.0, lam=0.0, omega=1.0)
-    alpha = 0.8
-    v = displacement_apply(alpha, p, dim_e=64).amplitudes
     n = np.arange(8)
-    expected = np.exp(-abs(alpha) ** 2 / 2) * (-1j * alpha) ** n / np.sqrt(
-        [math.factorial(int(k)) for k in n]
-    )
-    np.testing.assert_allclose(v[:8], expected, atol=1e-12)
+    for alpha, dim_e in [(0.8, 64), (1.0 + 0.5j, None)]:
+        v = displacement_apply(alpha, p, dim_e=dim_e).amplitudes
+        expected = np.exp(-alpha ** 2 / 2) * (-1j * alpha) ** n / np.sqrt(
+            [math.factorial(int(k)) for k in n]
+        )
+        np.testing.assert_allclose(v[:8], expected, atol=1e-12)
+        assert np.linalg.norm(v) == pytest.approx(np.exp(np.imag(alpha) ** 2), abs=1e-12)
+
+
+def test_displacement_with_complex_mu_matches_dense_exponential():
+    p = ChannelParams(gamma=1.0, lam=0.15, omega=1.0)
+    mu_value = 0.4 + 0.2j
+    off = oracle._couplings(p.y, 256)
+    ref = expm(-1j * mu_value * (np.diag(off, 1) + np.diag(off, -1)))[:, 0]
+    v = displacement_apply(mu_value, p, dim_e=256).amplitudes
+    np.testing.assert_allclose(v[:64], ref[:64], rtol=0, atol=1e-12)
+    assert np.all(np.isfinite(displacement_apply(mu_value, p).amplitudes))
 
 
 def test_evolved_state_matches_hadamard_action(rng):

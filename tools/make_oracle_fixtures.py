@@ -3,9 +3,14 @@
 The table pins the brute-force matrix-exponential oracle itself: kernel
 values at lambda = +/-0.3 (points where the negative-branch closed form is
 *not* expected to be exact, so the fixture is independent of it), gamma in
-{0.5, 2.0}, all pairs n < m < 6 at omega = 1.  Values are written with 17
-significant digits so a regeneration on any platform that reproduces the
-same doubling ladder bit-for-bit leaves the file unchanged.
+{0.5, 2.0}, all pairs n < m < 6 at omega = 1, written with 17 significant
+digits.
+
+The committed table was made by the oracle that built the dense eigenvector
+matrix of the environment generator.  The oracle now takes the vacuum
+weights from the generator's recurrence, which moves the last digits, so a
+regeneration no longer reproduces the file bit for bit.  The table is the
+frozen reference the tests compare against at 1e-12: do not overwrite it.
 
 Run from anywhere:
 
