@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_DIM_LIMIT = 2.0**62  # largest lam<0 space indexable as int64 with headroom
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Channel parameters (gamma, lam, omega) with derived quantities.
@@ -53,6 +56,11 @@ class ChannelParams:
             raise DomainError(f"omega must be finite and > 0, got {self.omega}")
         if not np.isfinite(self.lam):
             raise DomainError(f"lam must be finite, got {self.lam}")
+        if self.lam != 0 and (self.y == 0 or np.isinf(1.0 / self.y)):
+            raise DomainError(
+                f"lam={self.lam} gives y = lam/(2 omega) = {self.y:.3g}, so the "
+                f"kernel exponent 2 nu = 1/|y| +- 1 overflows"
+            )
 
     @property
     def Omega(self) -> float:
@@ -105,8 +113,14 @@ def max_dimension(p: ChannelParams):
     """
     if p.lam >= 0:
         return None
+    bound = 2.0 * p.omega / abs(p.lam)
+    if not bound < _DIM_LIMIT:
+        raise DimensionError(
+            f"the lam<0 space has dimension floor(2 omega/|lam|) + 1 = {bound:.3g} + 1, "
+            f"beyond the index limit 2**62 (lam={p.lam}, omega={p.omega})"
+        )
     # tiny slack so exact-integer bounds are not lost to rounding
-    n_max = int(np.floor(2.0 * p.omega / abs(p.lam) + 1e-9))
+    n_max = int(np.floor(bound + 1e-9))
     return n_max + 1
 
 

@@ -5,8 +5,10 @@ and the complementary output has the spectrum of the Gram matrix
 G_{mn} = sqrt(p_m p_n) K_{n,m}, so the coherent information reduces to
 J(p) = H(p) - S(G) with H the Shannon entropy in bits.  The channel is
 degradable, J is concave on the simplex, and local maxima are global; the
-optimizer is exponentiated-gradient (mirror) ascent with Dirichlet
-multistarts, with an exhaustive simplex grid as a low-N cross-check.
+optimizer is exponentiated-gradient (mirror) ascent from the uniform input,
+stopping at the first ascent whose KKT residual certifies it and falling
+back to Dirichlet-random starts only when the ascent stalls, with an
+exhaustive simplex grid as a low-N cross-check.
 
 An average-energy cap sum_n p_n eps(n) <= E, eps(n) = n + lam n^2 / 2, is
 enforced through its Lagrange multiplier (bisection over nu on the shifted
@@ -325,8 +327,12 @@ def optimize_capacity(p: ChannelParams, N: int, constraint: EnergyConstraint | N
                       seed: int = 0) -> CapacityResult:
     """Maximize J over diagonal inputs on N+1 menu levels.
 
-    Runs a uniform start plus `starts` Dirichlet-random starts (fixed seed);
-    J is concave here, so the multistarts only guard against flat regions.
+    Ascends from the uniform start first and stops there when the result is
+    certified (KKT residual < tol).  `starts` Dirichlet-random starts (fixed
+    `seed`) are the fallback: they run in order only while no certified
+    result has been kept, and the best J wins (ulp-level ties go to a
+    certified run).  J is concave here, so the fallback only guards against
+    the ascent stalling in flat regions.
     An energy cap is enforced through its Lagrange multiplier: J - nu<eps,p>
     is maximized on the simplex and nu is bisected until the cap binds
     (capped energy is monotone in nu; strict concavity of J makes the inner
@@ -353,6 +359,8 @@ def optimize_capacity(p: ChannelParams, N: int, constraint: EnergyConstraint | N
             if best is None or out[1] > best[1] + 5e-15 or (
                     out[1] > best[1] - 5e-15 and out[3] and not best[3]):
                 best = out
+            if best[3]:  # certified; the remaining starts only rescue a stall
+                break
         return best
 
     pv, J, trace, converged, r = solve()

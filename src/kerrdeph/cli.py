@@ -37,9 +37,12 @@ def _parse_grid(text: str) -> list:
             if steps < 1:
                 raise DomainError(f"grid needs at least one step, got {steps}")
             return list(np.linspace(lo, hi, steps))
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise DomainError(f"bad grid spec {text!r}: {exc}") from exc
+    if not grid:
+        raise DomainError(f"grid spec {text!r} holds no value")
+    return grid
 
 
 def _parse_offsets(text: str):

@@ -30,6 +30,13 @@ def test_params_domain_checks():
         ChannelParams(gamma=1.0, lam=0.0, omega=0.0)
     with pytest.raises(DomainError):
         ChannelParams(gamma=1.0, lam=0.0, omega=-2.0)
+    # nonzero lam whose y = lam/(2 omega) underflows, or whose 1/y overflows
+    for lam in [5e-324, -5e-324, 1e-310]:
+        with pytest.raises(DomainError, match="overflows"):
+            ChannelParams(gamma=1.0, lam=lam, omega=1.0)
+    # a lam<0 space too large to index: refused before any int conversion
+    with pytest.raises(DimensionError, match="2e\\+300"):
+        max_dimension(ChannelParams(gamma=1.0, lam=-1e-300, omega=1.0))
 
 
 def test_derived_parameters():

@@ -18,6 +18,21 @@ from kerrdeph import (
     two_level_eigenvalues,
     write_capacity_csv,
 )
+from kerrdeph import capacity as capacity_module
+
+
+@pytest.fixture
+def ascents(monkeypatch):
+    """Count the mirror ascents optimize_capacity runs."""
+    calls = []
+    ascend = capacity_module._ascend_simplex
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return ascend(*args, **kwargs)
+
+    monkeypatch.setattr(capacity_module, "_ascend_simplex", counted)
+    return calls
 
 
 def test_fock_menu_offsets():
@@ -84,12 +99,36 @@ def test_kkt_certificate_reported():
 
 
 @pytest.mark.parametrize("lam,gamma", [(0.5, 1.0), (0.2, 2.0)])
-def test_default_starts_converge_where_uniform_start_stalls(lam, gamma):
+def test_default_starts_converge_where_uniform_start_stalls(lam, gamma, ascents):
     """At these N=4 points the uniform start alone (starts=0) stops with
-    KKT residual 1.8e-7 and 1.5e-8; the default multistart converges."""
+    KKT residual 1.8e-7 and 1.5e-8; the default fallback starts converge."""
     res = optimize_capacity(ChannelParams(gamma=gamma, lam=lam, omega=1.0), 4)
     assert res.converged
     assert res.kkt_residual < 1e-9
+    assert len(ascents) > 1
+
+
+def test_certified_uniform_start_runs_no_fallback(ascents):
+    """A certified first ascent ends the search: the default call is the
+    starts=0 call, bit for bit."""
+    p = ChannelParams(gamma=1.0, lam=0.5, omega=1.0)
+    res = optimize_capacity(p, 2)
+    assert res.converged
+    assert len(ascents) == 1
+    np.testing.assert_array_equal(ascents[0], np.full(3, 1.0 / 3.0))
+    alone = optimize_capacity(p, 2, starts=0)
+    assert res.Q == alone.Q
+    np.testing.assert_array_equal(res.pvec, alone.pvec)
+    assert res.J_trace == alone.J_trace
+
+
+def test_uncertified_point_runs_every_start(ascents):
+    """No start certifies at (lam=1, gamma=4, N=4): all 1 + starts ascents
+    run and the best-of selection keeps the multistart's result."""
+    res = optimize_capacity(ChannelParams(gamma=4.0, lam=1.0, omega=1.0), 4)
+    assert len(ascents) == 1 + 8
+    assert not res.converged
+    assert res.Q == pytest.approx(0.000125745796636, rel=0, abs=1e-15)
 
 
 def test_matches_exhaustive_search():

@@ -144,14 +144,19 @@ class TestExitCodes:
         assert code == 2
 
     def test_bad_grid_spec_is_2(self, tmp_path):
-        code = main(["capacity", "--N", "1", "--lambda", "0",
-                     "--gamma-grid", "1:banana:3", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
+        for grid in ["1:banana:3", ","]:
+            code = main(["capacity", "--N", "1", "--lambda", "0",
+                         "--gamma-grid", grid, "--out", str(tmp_path / "x.csv")])
+            assert code == 2, grid
 
     def test_dimension_error_is_3(self, tmp_path):
         path = _write_state(tmp_path / "big.json", 7, np.eye(7) / 7)
         code = main(["apply", "--state", path, "--gamma", "1",
                      "--lambda", "-0.5"])
+        assert code == 3
+        # a lam<0 space too large to index is refused before any table
+        code = main(["kernel-map", "--lambda-min=-1e-300", "--lambda-max", "0",
+                     "--lambda-steps", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
     def test_invalid_state_is_4(self, tmp_path):
