@@ -19,10 +19,14 @@ v_{j+1} = (theta v_j - b_j v_{j-1}) / b_{j+1} from v_0 = 1 at every node,
 renormalised at each step and with the log of the norm carried, so nothing
 overflows and far nodes underflow to weight 0.  Both are built only on the
 block the vacuum reaches: a coupling that is exactly 0 (the top level of
-the lam<0 space at integer 2 omega/|lam|) splits the generator there.
+the lam<0 space at integer 2 omega/|lam|) splits the generator there.  The
+zero diagonal makes the nodes come in +-theta pairs (an odd block has one
+at 0) with v_j(-theta) = (-1)^j v_j(theta), so equal weights: the
+recurrence walks the nonnegative half of the nodes only.
 
 The vacuum columns x_n = U_n |0> have the Gram matrix
-<x_m, x_n> = sum_k w_k exp(i (mu_m - mu_n) theta_k).
+<x_m, x_n> = sum_k w_k exp(i (mu_m - mu_n) theta_k),
+summed as sum mult w cos((mu_m - mu_n) theta) over the nonnegative nodes.
 The system side needs nothing else: the kernel oracle is its real part and
 the channel output is rho * G^T.  Environment vectors
 x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k) are built only where the
@@ -34,7 +38,10 @@ environment space one exact rung is the answer.  Otherwise the environment
 dimension doubles from ENV_START to the cap, and an entry is certified once
 it moves by less than tol between two rungs, compared on the leading block
 the rungs share.  The kernel table stops each pair at its own rung; the
-evolutions stop when every entry is certified.
+evolutions stop when every entry is certified.  The environment output
+X diag(rho) X^dag has rank <= dim_s, so its rungs are compared through the
+d x dim_s factor X, a block of rows at a time; only the returned rung is
+formed as a dense d x d matrix.
 """
 
 from dataclasses import dataclass, field
@@ -68,6 +75,8 @@ ENV_CAP = 4096
 CONV_TOL = 1e-8
 #: first rung of the doubling ladder
 ENV_START = 64
+#: rows of the environment output formed at a time when two rungs are compared
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -149,38 +158,60 @@ def _env_eigensystem(y: float, dim_e: int):
     """Nodes theta_k and vacuum weights w_k = W[0,k]^2 of B + B^dag.
 
     Both live on the block the vacuum reaches (see _vacuum_block); the
-    weights are 1 / |v|^2 of the recurrence, carried in logs.  Read-only,
-    since the cache shares them.
+    weights are 1 / |v|^2 of the recurrence, carried in logs.  The zero
+    diagonal makes the spectrum symmetric, v_j(-theta) = (-1)^j v_j(theta),
+    so w(-theta) = w(theta): each node is averaged with its mirror (the
+    middle node of an odd block is then exactly 0), the recurrence runs on
+    the nonnegative half and the weights are mirrored.  Read-only, since
+    the cache shares them.
     """
     off = _vacuum_block(y, dim_e)
     theta = eigvalsh_tridiagonal(np.zeros(off.size + 1), off)
-    log_norm = np.zeros_like(theta)
-    for _c, g in _walk(theta, off):
+    n = theta.size
+    pos = 0.5 * (theta[n // 2:] - theta[(n - 1) // 2::-1])
+    log_norm = np.zeros_like(pos)
+    for _c, g in _walk(pos, off):
         log_norm += np.log(g)
     w = np.exp(-2.0 * log_norm)
+    theta = np.concatenate((-pos[::-1][:n // 2], pos))
+    w = np.concatenate((w[::-1][:n // 2], w))
     theta.flags.writeable = False
     w.flags.writeable = False
     return theta, w
+
+
+def _half_spectrum(y: float, dim_e: int):
+    """Nonnegative nodes, their weights and multiplicities (2; 1 for a node at 0)."""
+    theta, w = _env_eigensystem(y, dim_e)
+    n = theta.size
+    mult = np.full(n - n // 2, 2.0)
+    mult[0] -= n % 2
+    return theta[n // 2:], w[n // 2:], mult
 
 
 def _env_vectors(y: float, mus, dim_e: int) -> np.ndarray:
     """Columns exp(-i mu (B+B^dag)) |0>, one per mu, as a (dim_e, len(mus)) array.
 
     x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k), with the rows W[j,:]
-    generated by the recurrence in one pass.  W[0,k] exp(-i mu theta_k) is
-    formed in logs, so a complex mu neither overflows at far nodes nor
-    magnifies the rounding error of their tiny weights.
+    generated by the recurrence in one pass over the nonnegative nodes:
+    a node and its mirror contribute W[j,k] W[0,k] (e^{-i mu theta} +
+    (-1)^j e^{i mu theta}), which holds for complex mu too.  W[0,k]
+    exp(-+i mu theta_k) is formed in logs, so a complex mu neither
+    overflows at far nodes nor magnifies the rounding error of their tiny
+    weights.
     """
-    theta, w = _env_eigensystem(y, dim_e)
+    theta, w, mult = _half_spectrum(y, dim_e)
+    phase = 1j * np.multiply.outer(theta, np.asarray(mus, dtype=complex))
     with np.errstate(divide="ignore"):
-        head = np.exp(0.5 * np.log(w)[:, None]
-                      - 1j * np.multiply.outer(theta, np.asarray(mus, dtype=complex)))
-    X = np.zeros((dim_e, head.shape[1]), dtype=complex)
+        log_w0 = (0.5 * np.log(w) + np.log(0.5 * mult))[:, None]
+    minus, plus = np.exp(log_w0 - phase), np.exp(log_w0 + phase)
+    heads = (minus + plus, minus - plus)  # even rows, odd rows
+    X = np.zeros((dim_e, phase.shape[1]), dtype=complex)
     scale = np.sqrt(w)  # |v_0..v_j| / |v|, so that W[j,:] = c * scale
-    X[0] = scale @ head
+    X[0] = scale @ heads[0]
     for j, (c, g) in enumerate(_walk(theta, _vacuum_block(y, dim_e)), start=1):
         scale = scale * g
-        X[j] = (c * scale) @ head
+        X[j] = (c * scale) @ heads[j % 2]
     return X
 
 
@@ -193,21 +224,28 @@ def _vacuum_column(y: float, mu_value: complex, dim_e: int) -> np.ndarray:
 
 
 def _gram(p: ChannelParams, deltas: np.ndarray, dim_e: int) -> np.ndarray:
-    """<x_m, x_n> = sum_k w_k exp(i delta theta_k) for each delta = mu_m - mu_n."""
-    theta, w = _env_eigensystem(p.y, dim_e)
-    return np.exp(1j * np.multiply.outer(deltas, theta)) @ w
+    """<x_m, x_n> = sum_k w_k exp(i delta theta_k) for each delta = mu_m - mu_n,
+    summed as sum mult w cos(delta theta) over the nonnegative nodes."""
+    theta, w, mult = _half_spectrum(p.y, dim_e)
+    return np.cos(np.multiply.outer(deltas, theta)) @ (mult * w)
 
 
-def _ladder(p: ChannelParams, indices, dim_e: int | None, tol: float, evaluate):
-    """The certification ladder: yield (d, out, change, certified) per rung.
+def _entrywise(prev: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Entrywise distance of two rungs on the leading block they share."""
+    return np.abs(out[tuple(map(slice, prev.shape))] - prev)
 
-    out = evaluate(d) at environment dimension d.  lam < 0 with the cap at
-    the whole finite space (dim_e absent or not below it): one exact rung,
-    every entry certified.  Otherwise d doubles from ENV_START to the cap
-    (dim_e, default ENV_CAP), so a truncated lam<0 environment is certified
-    by the ladder alone; change is the entrywise distance to the previous
-    rung on the leading block the two share (inf on the first rung), and an
-    entry is certified when its change is below tol.  The caller stops
+
+def _ladder(p: ChannelParams, indices, dim_e: int | None, tol: float, evaluate,
+            compare=_entrywise):
+    """The certification ladder: yield (d, prev, out, change, certified) per rung.
+
+    out = evaluate(d) at environment dimension d, prev the previous rung's
+    out (None if there is none).  lam < 0 with the cap at the whole finite
+    space (dim_e absent or not below it): one exact rung, every entry
+    certified.  Otherwise d doubles from ENV_START to the cap (dim_e,
+    default ENV_CAP), so a truncated lam<0 environment is certified by the
+    ladder alone; change = compare(prev, out) (inf on the first rung), and
+    an entry is certified when its change is below tol.  The caller stops
     drawing rungs once its own rule is met; after the cap rung the ladder
     ends.
 
@@ -225,17 +263,16 @@ def _ladder(p: ChannelParams, indices, dim_e: int | None, tol: float, evaluate):
 
     if cap == bound:
         out = evaluate(cap)
-        yield cap, out, np.zeros(out.shape), np.ones(out.shape, dtype=bool)
+        yield cap, None, out, np.zeros(out.shape), np.ones(out.shape, dtype=bool)
         return
     d = min(ENV_START, cap)
-    prev = evaluate(d)
-    yield d, prev, np.full(prev.shape, np.inf), np.zeros(prev.shape, dtype=bool)
+    out = evaluate(d)
+    yield d, None, out, np.full(out.shape, np.inf), np.zeros(out.shape, dtype=bool)
     while d < cap:
-        d = min(2 * d, cap)
+        d, prev = min(2 * d, cap), out
         out = evaluate(d)
-        change = np.abs(out[tuple(map(slice, prev.shape))] - prev)
-        yield d, out, change, change < tol
-        prev = out
+        change = compare(prev, out)
+        yield d, prev, out, change, change < tol
 
 
 def _uncertified(p: ChannelParams, d: int, change, tol: float) -> ConvergenceError:
@@ -286,14 +323,15 @@ def _state(rho, dim_s: int | None) -> np.ndarray:
 
 
 def _evolve(rho: np.ndarray, p: ChannelParams, dim_e: int | None, tol: float,
-            strict: bool, evaluate) -> EvolveResult:
-    """Climb the ladder until every entry of evaluate(d) is certified."""
-    for d, out, change, certified in _ladder(p, range(len(rho)), dim_e, tol, evaluate):
+            strict: bool, evaluate, compare=_entrywise):
+    """Climb the ladder until every entry is certified: (d, prev, out, change, converged)."""
+    for d, prev, out, change, certified in _ladder(p, range(len(rho)), dim_e, tol,
+                                                   evaluate, compare):
         if certified.all():
-            return EvolveResult(matrix=out, dim_e=d, converged=True, change=change)
+            return d, prev, out, change, True
     if strict:
         raise _uncertified(p, d, change, tol)
-    return EvolveResult(matrix=out, dim_e=d, converged=False, change=change)
+    return d, prev, out, change, False
 
 
 def evolve_and_trace(rho, p: ChannelParams, dim_s: int | None = None,
@@ -312,8 +350,9 @@ def evolve_and_trace(rho, p: ChannelParams, dim_s: int | None = None,
     rho = _state(rho, dim_s)
     mus = mu(np.arange(len(rho)), p)
     deltas = np.subtract.outer(mus, mus)  # deltas[m, n] = mu_m - mu_n
-    return _evolve(rho, p, dim_e, tol, strict,
-                   lambda d: rho * _gram(p, deltas, d).T)
+    d, _prev, out, change, converged = _evolve(
+        rho, p, dim_e, tol, strict, lambda d: rho * _gram(p, deltas, d).T)
+    return EvolveResult(matrix=out, dim_e=d, converged=converged, change=change)
 
 
 def evolve_and_trace_system(rho, p: ChannelParams, dim_s: int | None = None,
@@ -321,18 +360,36 @@ def evolve_and_trace_system(rho, p: ChannelParams, dim_s: int | None = None,
                             strict: bool = True) -> EvolveResult:
     """Complementary output Tr_S[U (rho x |0><0|) U^dag] on the environment.
 
-    Equals sum_n rho_nn |x_n><x_n| with x_n = U_n|0>; the doubling protocol
-    compares successive outputs on their common (smaller) dimension.
+    Equals sum_n rho_nn |x_n><x_n| = X diag(rho) X^dag with x_n = U_n|0>.
+    Each rung keeps only the d x dim_s factor X; successive rungs are
+    compared on their common (smaller) dimension k, ROW_BLOCK rows of the
+    k x k difference at a time.  The dense output and its per-entry change
+    are built only for the rung that is returned, so a refusal builds
+    neither.
     """
     rho = _state(rho, dim_s)
     mus = mu(np.arange(len(rho)), p)
     diag = np.real(np.diag(rho))
 
-    def env_out(d):
-        X = _env_vectors(p.y, mus, d)
-        return (X * diag) @ X.conj().T
+    def change_rows(prev, X):
+        """|X[:k] D X[:k]^dag - prev D prev^dag|, ROW_BLOCK rows at a time."""
+        k = len(prev)
+        left = np.hstack((X[:k] * diag, -prev * diag))
+        right = np.hstack((X[:k], prev)).conj().T
+        for r in range(0, k, ROW_BLOCK):
+            yield np.abs(left[r:r + ROW_BLOCK] @ right)
 
-    return _evolve(rho, p, dim_e, tol, strict, env_out)
+    def max_change(prev, X):
+        return np.max([rows.max() for rows in change_rows(prev, X)])
+
+    d, prev, X, change, converged = _evolve(
+        rho, p, dim_e, tol, strict, lambda d: _env_vectors(p.y, mus, d), max_change)
+    out = (X * diag) @ X.conj().T
+    if prev is None:
+        change = np.full(out.shape, 0.0 if converged else np.inf)
+    else:
+        change = np.vstack(list(change_rows(prev, X)))
+    return EvolveResult(matrix=out, dim_e=d, converged=converged, change=change)
 
 
 def kernel_oracle_certified(n: int, m: int, p: ChannelParams,
@@ -365,8 +422,8 @@ def kernel_oracle_table(pairs, p: ChannelParams, dim_e: int | None = None,
     dims = np.zeros(len(pairs), dtype=int)
     change = np.full(len(pairs), np.inf)
     done = np.zeros(len(pairs), dtype=bool)
-    for d, vals, step, certified in _ladder(p, np.ravel(pairs), dim_e, tol,
-                                            lambda d: _gram(p, deltas, d).real):
+    for d, _prev, vals, step, certified in _ladder(p, np.ravel(pairs), dim_e, tol,
+                                                   lambda d: _gram(p, deltas, d)):
         live = ~done
         value[live], dims[live], change[live] = vals[live], d, step[live]
         done |= certified
@@ -378,8 +435,12 @@ def kernel_oracle_table(pairs, p: ChannelParams, dim_e: int | None = None,
 
 def displacement_apply(mu_value: complex, p: ChannelParams,
                        dim_e: int | None = None) -> CoherentVector:
-    """exp(-i mu (B+B^dag)) |0> by spectral decomposition (complex mu allowed)."""
+    """exp(-i mu (B+B^dag)) |0> by spectral decomposition (complex mu allowed).
+
+    The tail bound is 0 only on the whole finite lam<0 space; a truncated
+    environment reports the weight of its top four levels.
+    """
     d = _env_dim_for(p, dim_e)
     amps = _vacuum_column(p.y, complex(mu_value), d)
-    tail = float(np.sum(np.abs(amps[-4:]) ** 2)) if p.lam >= 0 else 0.0
+    tail = 0.0 if d == max_dimension(p) else float(np.sum(np.abs(amps[-4:]) ** 2))
     return CoherentVector(env_dim=d, amplitudes=amps, tail_bound=tail)

@@ -4,6 +4,7 @@ and agreement between the two independent channel routes."""
 import csv
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,9 @@ def test_truncated_negative_branch_is_certified_by_the_ladder_alone():
         evolve_and_trace(rho, q, dim_e=8)
     assert evolve_and_trace(rho, q, dim_e=100).dim_e == 16
 
+    assert displacement_apply(2.0, p, dim_e=4).tail_bound > 0.0
+    assert displacement_apply(2.0, p).tail_bound == 0.0
+
 
 def _first_row_weights(y, dim_e):
     """Nodes and W[0,:]^2 of B + B^dag from the dense eigenvector matrix."""
@@ -120,10 +124,18 @@ def _first_row_weights(y, dim_e):
     return theta, W[0, :] ** 2, W
 
 
+def _assert_mirrored(theta, w):
+    """Nodes in exact +-theta pairs (the half-spectrum sums rely on it) with
+    equal weights at +-theta."""
+    np.testing.assert_array_equal(theta, -theta[::-1])
+    np.testing.assert_allclose(w, w[::-1], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("y", [0.0, 0.1, 0.5])
 @pytest.mark.parametrize("dim_e", [64, 512])
 def test_recurrence_weights_match_eigenvector_first_row(y, dim_e):
     theta, w = oracle._env_eigensystem(y, dim_e)
+    _assert_mirrored(theta, w)
     ref_theta, ref_w, _ = _first_row_weights(y, dim_e)
     np.testing.assert_allclose(theta, ref_theta, rtol=1e-13, atol=1e-12)
     np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-14)
@@ -134,10 +146,12 @@ def test_recurrence_weights_match_eigenvector_first_row(y, dim_e):
 def test_recurrence_weights_on_the_negative_branch(ratio):
     """2 omega/|lam| = ratio.  At an integer the top level decouples (zero
     coupling) and the weights live on the block below it; its own node
-    carries no vacuum weight."""
+    carries no vacuum weight.  The blocks have 20, 21 and 16 levels, so an
+    odd one with its node at 0 is among them."""
     p = ChannelParams(gamma=1.0, lam=-2.0 / ratio, omega=1.0)
     dim_e = max_dimension(p)
     theta, w = oracle._env_eigensystem(p.y, dim_e)
+    _assert_mirrored(theta, w)
     ref_theta, ref_w, W = _first_row_weights(p.y, dim_e)
     if ratio == 20.0:
         assert theta.size == dim_e - 1
@@ -154,6 +168,20 @@ def test_env_eigensystem_holds_no_dense_matrix():
     for a in arrays:
         assert a.ndim == 1 and a.size <= 1024
         assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("y, dim_e", [(0.0, 63), (0.25, 64),
+                                      (ChannelParams(gamma=1.0, lam=-0.13).y, 16)],
+                         ids=["y=0-odd", "y=0.25-even", "lam=-0.13"])
+def test_env_vectors_match_dense_exponential(y, dim_e):
+    """The paired half-spectrum sum against expm of the same truncated
+    generator, for real and complex mu."""
+    mus = [0.0, 0.7, 2.3, 0.4 + 0.2j, 1.1 - 0.3j]
+    X = oracle._env_vectors(y, mus, dim_e)
+    off = oracle._couplings(y, dim_e)
+    G = np.diag(off, 1) + np.diag(off, -1)
+    for col, mu_value in zip(X.T, mus):
+        np.testing.assert_allclose(col, expm(-1j * mu_value * G)[:, 0], rtol=0, atol=1e-12)
 
 
 _FINITE = ChannelParams(gamma=1.0, lam=-0.5, omega=1.0)
@@ -195,6 +223,28 @@ def test_gram_route_matches_literal_dilation(lam, dim_s, dim_e, rng):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(environment.matrix, np.einsum("nknl->kl", joint),
                                rtol=0, atol=1e-12)
+
+
+def test_environment_side_is_certified_through_its_factor():
+    """The environment output has rank <= dim_s, so rungs are compared through
+    the d x dim_s factor: a refusal at the cap holds no dense d x d output,
+    and a returned certificate agrees with its own per-entry changes."""
+    p = ChannelParams(gamma=1.0, lam=0.5, omega=1.0)
+    rho = random_density(np.random.default_rng(3), 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError):
+            evolve_and_trace_system(rho, p, dim_e=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 ** 2 * 16 / 2  # half of one dense 1024^2 complex output
+
+    for q, dim_e in [(p, 256), (ChannelParams(gamma=0.5, lam=0.1, omega=1.0), None)]:
+        res = evolve_and_trace_system(rho, q, dim_e=dim_e, strict=False)
+        assert res.matrix.shape == (res.dim_e, res.dim_e)
+        assert res.change.shape == (res.dim_e // 2, res.dim_e // 2)
+        assert res.converged == (res.change < oracle.CONV_TOL).all()
 
 
 def test_unitary_dilation_is_unitary():
