@@ -1,29 +1,16 @@
-"""Thread-pool helper honoring the DDC_THREADS environment variable."""
+"""Order-preserving map over grid points, evaluated in one thread.
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+With the interpreter lock a thread pool was no faster than one thread on
+any measured grid (kernel maps, capacity sweeps).  The module stays because
+perfbench traces parallel_map and thread_count by name.
+"""
 
 
 def thread_count() -> int:
-    """Worker count: DDC_THREADS if set (min 1), else the CPU count."""
-    raw = os.environ.get("DDC_THREADS")
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """Worker count: always 1."""
+    return 1
 
 
 def parallel_map(fn, items):
-    """Map fn over items, preserving input order in the output list.
-
-    Worker count comes from thread_count(); a single worker degrades to a
-    plain loop so results are schedule-independent either way.
-    """
-    items = list(items)
-    workers = min(thread_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in input order."""
+    return [fn(x) for x in items]

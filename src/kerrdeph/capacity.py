@@ -410,6 +410,8 @@ def exhaustive_capacity(p: ChannelParams, N: int, step: float = 0.01,
     """Best J over a uniform simplex grid (N <= 2 only); returns (Q, pvec)."""
     if N not in (1, 2):
         raise DomainError(f"exhaustive search supports N=1,2 only, got {N}")
+    if not 0.0 < step <= 1.0:
+        raise DomainError(f"step must be in (0, 1], got {step}")
     idx = fock_menu(N) if indices is None else list(indices)
     _check_menu(p, idx, convention)
     K = _menu_kernel(p, idx, convention)

@@ -5,10 +5,11 @@ with the kernel), so diagonals pass through untouched.  The complementary
 channel maps to the environment: N^c(rho) = sum_n rho_nn |c_n><c_n| with the
 nonlinear coherent vectors c_n, and depends on the input diagonal only.
 
-Kraus operators are diagonal in the Fock basis, (K_l)_{nn} = amplitude_l of
-c_n, taken from the numerically normalized coherent vectors rather than any
-printed prefactor; completeness is measured, not assumed.  A common phase
-per l is dropped (pure gauge), so the stored operators are real.
+As a Hadamard channel it has a diagonal Kraus family (K_l)_{nn} = D[l, n] for
+every real factorisation K = D^T D (King, Matsumoto, Nathanson, Ruskai,
+arXiv:quant-ph/0509126): rank K rows from eigh(K) for lam >= 0, the real
+environment amplitudes of the c_n for lam < 0 (see kraus_set).  Completeness
+is measured, not assumed.
 """
 
 import math
@@ -35,10 +36,6 @@ __all__ = [
     "verify_gaussian_decomposition",
     "phase_covariance_residual",
 ]
-
-#: Kraus-rank growth cap for lam>0 (number of retained environment levels)
-KRAUS_CAP = 1_000_000
-
 
 def _certified_psd(h: np.ndarray) -> bool:
     """True when a Cholesky factorization proves eigvalsh(h).min() >= -1e-10.
@@ -199,35 +196,40 @@ def _amp_table(p: ChannelParams, dim: int, L: int) -> np.ndarray:
 def kraus_set(p: ChannelParams, dim: int, env_dim: int | None = None) -> KrausSet:
     """Diagonal Kraus family reproducing the channel on dim Fock levels.
 
-    lam < 0: L equals the forced finite dimension (exact family).
-    lam >= 0: L grows by doubling until the measured completeness residual
-    max_n |1 - sum_l (K_l)_nn^2| < 1e-8; cap env_dim (default 1e6).
+    lam < 0: the environment table on the whole forced finite space (exact
+    family; env_dim is not used).
+    lam >= 0, env_dim=None: D = sqrt(w) V^T from K = V diag(w) V^T, keeping
+    the eigenvalues above dim * eps * max(w), the rounding level that
+    numpy's matrix_rank uses: rank K <= dim operators, one at gamma = 0.
+    lam >= 0, env_dim=L: the first L environment levels, exactly-zero
+    trailing rows dropped.
+    TruncationError when the completeness residual max_n |1 - sum_l
+    (K_l)_nn^2| is >= 1e-8, which only a short explicit env_dim reaches.
     """
+    if dim < 1:
+        raise DimensionError(f"dim must be >= 1, got {dim}")
+    if env_dim is not None and env_dim < 1:
+        raise DimensionError(f"env_dim must be >= 1, got {env_dim}")
     bound = max_dimension(p)
     if bound is not None and dim > bound:
         raise DimensionError(f"dim {dim} exceeds the lam<0 space (dim {bound})")
     if p.lam < 0:
         D = _amp_table(p, dim, bound)
-        resid = float(np.abs(1.0 - np.sum(D * D, axis=0)).max())
-        return KrausSet(dim=dim, diagonals=D, completeness_residual=resid)
-
-    cap = KRAUS_CAP if env_dim is None else env_dim
-    L = min(64, cap)
-    while True:
-        D = _amp_table(p, dim, L)
-        resid = float(np.abs(1.0 - np.sum(D * D, axis=0)).max())
-        if resid < 1e-8:
-            break
-        if L >= cap:
-            raise TruncationError(
-                f"completeness residual {resid:.3e} at the Kraus cap L={L} "
-                f"(gamma={p.gamma}, lam={p.lam}, dim={dim})"
-            )
-        L = min(2 * L, cap)
-    # drop exactly-zero trailing operators (e.g. gamma=0 leaves only K_0)
-    nonzero = np.nonzero(np.abs(D).max(axis=1) > 0.0)[0]
-    last = int(nonzero[-1]) + 1 if len(nonzero) else 1
-    return KrausSet(dim=dim, diagonals=D[:last], completeness_residual=resid)
+    elif env_dim is None:
+        w, V = np.linalg.eigh(kernel_matrix(p, dim).entries)
+        keep = w > dim * np.finfo(float).eps * w.max()
+        D = np.sqrt(w[keep])[:, None] * V[:, keep].T
+    else:
+        D = _amp_table(p, dim, env_dim)
+        last = np.flatnonzero(np.abs(D).max(axis=1))[-1]  # row 0 holds c_0 = |0>
+        D = D[: last + 1]
+    resid = float(np.abs(1.0 - np.sum(D * D, axis=0)).max())
+    if resid >= 1e-8:
+        raise TruncationError(
+            f"completeness residual {resid:.3e} with {len(D)} operators "
+            f"(gamma={p.gamma}, lam={p.lam}, dim={dim}, env_dim={env_dim})"
+        )
+    return KrausSet(dim=dim, diagonals=D, completeness_residual=resid)
 
 
 def coherent_input_output(alpha: complex, p: ChannelParams,
@@ -239,6 +241,8 @@ def coherent_input_output(alpha: complex, p: ChannelParams,
     the forced finite space (lam < 0), renormalized, and passed through the
     kernel Hadamard product.
     """
+    if dim is not None and dim < 1:
+        raise DimensionError(f"dim must be >= 1, got {dim}")
     alpha = complex(alpha)
     a2 = abs(alpha) ** 2
 

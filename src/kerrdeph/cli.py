@@ -4,7 +4,7 @@ Subcommands write CSV (kernel-map, capacity) or JSON (apply, validate).
 Numeric CSV fields use 17 significant digits and LF endings, so identical
 flags produce byte-identical files.  Exit codes: 0 success, 1 validation
 failure, 2 invalid flags or parameter domain, 3 dimension violation,
-4 invalid input state.  DDC_THREADS caps row-level parallelism.
+4 invalid input state.
 """
 
 import argparse
@@ -154,8 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kerrdeph",
         description="Deformed dephasing channel: kernel maps, capacities, "
         "channel application, and self-validation.",
-        epilog="Physical defaults: omega=1, convention=proof. "
-        "Set DDC_THREADS to cap parallel grid evaluation.",
+        epilog="Physical defaults: omega=1, convention=proof.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

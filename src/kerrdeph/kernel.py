@@ -8,7 +8,8 @@ states |c_n> = exp(-i mu_n (B + B^dag)) |0> with displacement magnitude
 
 All amplitudes come from one real table D[k, n] (amplitude_table), whose
 k-only terms (gammaln, binomials) are computed once per row and broadcast;
-coherent_vector is a column of it times (-i)^k, the Kraus family the table.
+coherent_vector is a column of it times (-i)^k, the lam < 0 Kraus family
+the table.
   lam = 0   K = exp(-(mu_n - mu_m)^2 / 2) = exp(-gamma (n-m)^2 / 2)
   lam > 0   K = sech^{2 nu}(tau_n - tau_m),  nu = omega/lam + 1/2
             (identical to [(1-t_n^2)(1-t_m^2)]^nu / (1-t_n t_m)^{2 nu}

@@ -158,8 +158,6 @@ def _kernel_oracle_suite(max_dim: int, tol: float) -> SuiteResult:
 def _kraus_suite(max_dim: int, tol: float) -> SuiteResult:
     out = SuiteResult("kraus", tol)
     rng = np.random.default_rng(7)
-    # lam>0 Kraus ranks blow up with gamma (the top Fock level sits at huge
-    # environment occupation), so that branch gets gentler dephasing rates
     for lam, gammas in ((-0.5, (0.5, 2.0)), (0.0, (0.5, 2.0)), (0.4, (0.5, 1.0))):
         for gamma in gammas:
             p = ChannelParams(gamma=gamma, lam=lam)

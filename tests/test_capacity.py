@@ -144,6 +144,9 @@ def test_exhaustive_small_n_only():
     p = ChannelParams(gamma=1.0, lam=0.0, omega=1.0)
     with pytest.raises(DomainError):
         exhaustive_capacity(p, 3)
+    for step in (0.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="step"):
+            exhaustive_capacity(p, 1, step=step)
 
 
 def test_capacity_bounds_hold(rng):

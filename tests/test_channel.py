@@ -9,10 +9,12 @@ import pytest
 from kerrdeph import (
     ChannelParams,
     DensityMatrix,
+    DimensionError,
     DomainError,
     InvalidStateError,
     SingularityError,
     TruncationError,
+    amplitude_table,
     apply,
     coherent_input_output,
     complementary_apply,
@@ -165,10 +167,35 @@ class TestKraus:
 
     def test_truncation_error_when_environment_explodes(self):
         # strong positive-branch dephasing needs millions of environment
-        # levels for 1e-8 completeness; the cap must refuse honestly
+        # levels for 1e-8 completeness; a short explicit env_dim must refuse
         p = ChannelParams(gamma=2.0, lam=0.4, omega=1.0)
         with pytest.raises(TruncationError):
             kraus_set(p, dim=6, env_dim=512)
+
+    @pytest.mark.parametrize("lam, gamma, dim", [
+        (0.4, 1.0, 8), (0.4, 0.5, 8), (0.0, 2.0, 8), (0.0, 0.0, 6),
+        (0.0, 1e-3, 40), (1.0, 0.5, 12)])
+    def test_positive_branch_family_has_the_rank_of_the_kernel(self, lam, gamma, dim):
+        """K = D^T D with rank K operators; (0.4, 1.0, 8) needs millions of
+        environment levels, and gamma=0 leaves one operator."""
+        p = ChannelParams(gamma=gamma, lam=lam, omega=1.0)
+        ks = kraus_set(p, dim)
+        K = kernel_matrix(p, dim).entries
+        assert len(ks) == np.linalg.matrix_rank(K)
+        D = ks.diagonals
+        # a rank-deficient K also loses the eigenvalues below dim*eps*max(w)
+        tol = 1e-14 if len(ks) == dim else 1e-13
+        assert ks.completeness_residual <= tol
+        assert np.abs(D.T @ D - K).max() <= tol
+
+    @pytest.mark.parametrize("lam, gamma, L, rows", [(0.3, 0.2, 256, 256),
+                                                     (0.4, 0.0, 64, 1)])
+    def test_explicit_env_dim_is_the_amplitude_table(self, lam, gamma, L, rows):
+        p = ChannelParams(gamma=gamma, lam=lam, omega=1.0)
+        ks = kraus_set(p, 5, env_dim=L)
+        D = amplitude_table(p, np.arange(5), L)
+        assert len(ks) == rows
+        np.testing.assert_array_equal(ks.diagonals, D[:rows])
 
 
 class TestComplementary:
@@ -244,6 +271,19 @@ class TestCoherentInput:
         w = np.exp(logw - logw.max())
         np.testing.assert_allclose(np.real(np.diag(out.entries)), w / w.sum(),
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kraus_set(ChannelParams(gamma=1.0, lam=0.4), 0),
+    lambda: kraus_set(ChannelParams(gamma=1.0, lam=-0.5), 0),
+    lambda: kraus_set(ChannelParams(gamma=1.0, lam=0.4), 3, env_dim=-5),
+    lambda: coherent_input_output(1.0, ChannelParams(gamma=1.0, lam=0.4), dim=0),
+    lambda: coherent_input_output(1.0, ChannelParams(gamma=1.0, lam=-0.5), dim=-1),
+], ids=["kraus-dim-0", "kraus-lam<0-dim-0", "kraus-env_dim-negative",
+        "coherent-dim-0", "coherent-lam<0-dim-negative"])
+def test_bad_sizes_raise_dimension_error(call):
+    with pytest.raises(DimensionError, match="must be >= 1"):
+        call()
 
 
 class TestGaussianDecomposition:

@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrdeph import (ChannelParams, kernel_entry, kernel_matrix, kraus_set,
-                      max_dimension)
+from kerrdeph import (ChannelParams, amplitude_table, kernel_entry,
+                      kernel_matrix, kraus_set, max_dimension)
 from conftest import (eigvalsh_verdict, spectrum_with_min, state_with_spectrum,
                       verdict)
 
@@ -61,8 +61,9 @@ def test_kernel_matrix_agrees_with_entries(case):
 def test_kraus_family_is_complete_and_reproduces_the_kernel(case):
     """sum_l K_l^2 = 1 and D^T D = K for the Kraus table D[l, n].
 
-    A truncated lam >= 0 family misses at most its completeness residual in
-    any entry of D^T D (Cauchy-Schwarz on the dropped rows).
+    A lam >= 0 family drops the rows of eigenvalues below its rounding
+    threshold, so it misses at most its completeness residual in any entry
+    of D^T D (Cauchy-Schwarz on the dropped rows).
     """
     p, dim = case
     ks = kraus_set(p, dim)
@@ -70,6 +71,25 @@ def test_kraus_family_is_complete_and_reproduces_the_kernel(case):
     D = ks.diagonals
     K = kernel_matrix(p, dim).entries
     assert np.abs(D.T @ D - K).max() <= 1e-12 + ks.completeness_residual
+
+
+@SETTINGS
+@given(params(), st.integers(1, 512))
+def test_amplitude_table_reproduces_the_kernel(case, L):
+    """D^T D = K for the environment table D[k, n] = amplitude_table(p, n, L).
+
+    lam < 0 takes the whole finite space; a truncated lam >= 0 table misses
+    at most its missing mass max_n |1 - sum_k D[k, n]^2| in any entry
+    (Cauchy-Schwarz on the dropped rows).
+    """
+    p, dim = case
+    bound = max_dimension(p)
+    D = amplitude_table(p, np.arange(dim), L if bound is None else bound)
+    K = kernel_matrix(p, dim).entries
+    missing = 0.0
+    if bound is None:
+        missing = float(np.abs(1.0 - np.sum(D * D, axis=0)).max())
+    assert np.abs(D.T @ D - K).max() <= 1e-12 + missing
 
 
 @SETTINGS
