@@ -22,7 +22,8 @@ from .algebra import (ChannelParams, build_annihilator, build_k0,
                       max_dimension)
 from .errors import (DimensionError, DomainError, InvalidStateError,
                      SingularityError, TruncationError)
-from .kernel import amplitude_table, coherent_vector, kernel_matrix
+from .kernel import (_coherent_table, _log_amplitudes, _sized_log_amplitudes,
+                     amplitude_table, kernel_matrix)
 
 __all__ = [
     "DensityMatrix",
@@ -159,15 +160,8 @@ def complementary_apply(rho, p: ChannelParams, env_dim: int | None = None,
     """
     state = _as_state(rho)
     diag = np.real(np.diag(state.entries))
-    vecs = [coherent_vector(n, p, env_dim=env_dim, tail_tol=tail_tol)
-            for n in range(state.dim)]
-    d = max(v.env_dim for v in vecs)
-    out = np.zeros((d, d), dtype=complex)
-    for w, v in zip(diag, vecs):
-        a = np.zeros(d, dtype=complex)
-        a[: v.env_dim] = v.amplitudes
-        out += w * np.outer(a, a.conj())
-    return DensityMatrix(out)
+    X, _ = _coherent_table(p, np.arange(state.dim), env_dim, tail_tol)
+    return DensityMatrix((X * diag) @ X.conj().T)
 
 
 def complementary_spectrum(pvec, p: ChannelParams) -> np.ndarray:
@@ -236,56 +230,32 @@ def coherent_input_output(alpha: complex, p: ChannelParams,
                           dim: int | None = None) -> DensityMatrix:
     """Channel output on a coherent-state input |alpha><alpha|.
 
-    The input projector is truncated (lam >= 0: at dim, which must keep the
-    Poisson tail below 1e-10; auto-grown when dim=None) or projected onto
-    the forced finite space (lam < 0), renormalized, and passed through the
-    kernel Hadamard product.
+    The input's Poisson amplitudes are cut at a size and renormalized:
+    lam < 0, the forced finite space (or dim, if smaller); lam >= 0 and
+    dim=None, the smallest size whose tail bound is within 1e-10 (cap
+    4096); an explicit dim must leave at most 1e-10 of the mass outside.
+    The state is then passed through the kernel Hadamard product.
     """
     if dim is not None and dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     alpha = complex(alpha)
-    a2 = abs(alpha) ** 2
-
-    def coeffs(d):
-        c = np.empty(d, dtype=complex)
-        c[0] = 1.0
-        for k in range(1, d):
-            c[k] = c[k - 1] * alpha / math.sqrt(k)
-        return c * math.exp(-a2 / 2.0)
-
+    r = abs(alpha)
     bound = max_dimension(p)
-    if bound is not None:
-        d = bound if dim is None else min(dim, bound)
-        c = coeffs(d)
+    if bound is None and dim is None:
+        la, _ = _sized_log_amplitudes(0.0, [r], 1e-10, 4096, None, f"|alpha|={r:.3g}")
     else:
-        if dim is None:
-            d = 16
-            while True:
-                ratio = a2 / d
-                if a2 == 0.0:
-                    tail = 0.0
-                elif ratio >= 1.0:
-                    tail = math.inf
-                else:
-                    log_term = -a2 + (d - 1) * math.log(a2) - math.lgamma(d)
-                    tail = math.exp(log_term) * ratio / (1.0 - ratio)
-                if tail < 1e-10:
-                    break
-                if d >= 4096:
-                    raise TruncationError(
-                        f"coherent tail will not reach 1e-10 by dim 4096 (|alpha|={abs(alpha):.3g})"
-                    )
-                d *= 2
-            c = coeffs(d)
-        else:
-            d = dim
-            c = coeffs(d)
-            tail = 1.0 - float(np.sum(np.abs(c) ** 2))
-            if tail > 1e-10:
-                raise TruncationError(
-                    f"coherent tail {tail:.3e} > 1e-10 at dim {d} (|alpha|={abs(alpha):.3g})"
-                )
-    c = c / np.linalg.norm(c)
+        d = min(x for x in (dim, bound) if x is not None)
+        la = _log_amplitudes(0.0, [r], np.arange(d))
+    la = la[:, 0]
+    if bound is None and dim is not None:
+        tail = 1.0 - float(np.sum(np.exp(2.0 * la)))
+        if tail > 1e-10:
+            raise TruncationError(
+                f"coherent tail {tail:.3e} > 1e-10 at dim {dim} (|alpha|={r:.3g})"
+            )
+    # scaled by the largest amplitude first, so that no projection underflows
+    c = np.exp(la - la.max() + 1j * np.angle(alpha) * np.arange(len(la)))
+    c /= np.linalg.norm(c)
     K = kernel_matrix(p, len(c)).entries
     return DensityMatrix(K * np.outer(c, c.conj()))
 

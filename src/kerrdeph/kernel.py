@@ -9,7 +9,9 @@ states |c_n> = exp(-i mu_n (B + B^dag)) |0> with displacement magnitude
 All amplitudes come from one real table D[k, n] (amplitude_table), whose
 k-only terms (gammaln, binomials) are computed once per row and broadcast;
 coherent_vector is a column of it times (-i)^k, the lam < 0 Kraus family
-the table.
+the table.  Truncated lam >= 0 columns, and coherent inputs (the same builder
+at y = 0), are sized once: at the smallest size whose geometric tail bound
+is within tolerance (_sized_log_amplitudes), or refused above a cap.
   lam = 0   K = exp(-(mu_n - mu_m)^2 / 2) = exp(-gamma (n-m)^2 / 2)
   lam > 0   K = sech^{2 nu}(tau_n - tau_m),  nu = omega/lam + 1/2
             (identical to [(1-t_n^2)(1-t_m^2)]^nu / (1-t_n t_m)^{2 nu}
@@ -112,18 +114,19 @@ def _pow_log(e, x):
     return out
 
 
-def _log_amplitudes(p: ChannelParams, mus, ks) -> np.ndarray:
-    """lam >= 0: log amplitudes [k, j] of the normalized expansion, over
-    levels ks (rows) and displacement magnitudes mus (columns)."""
+def _log_amplitudes(y: float, mus, ks) -> np.ndarray:
+    """lam >= 0: log amplitudes [k, j] of the normalized expansion at
+    y = lam/(2 omega), over levels ks (rows) and displacement magnitudes mus
+    (columns).  y = 0 gives the Poisson amplitudes of a coherent state."""
     ks = np.asarray(ks, dtype=float)[:, None]
     mus = np.asarray(mus, dtype=float)
-    if p.lam == 0:
+    if y == 0:
         out = _pow_log(ks, mus)
         out -= 0.5 * mus**2
         out -= 0.5 * gammaln(ks + 1)
         return out
-    two_nu = 1.0 / p.y + 1.0
-    taus = math.sqrt(p.y) * mus
+    two_nu = 1.0 / y + 1.0
+    taus = math.sqrt(y) * mus
     out = _pow_log(ks, np.tanh(taus))
     # nu log(1-t^2) = 2 nu log(sech tau), computed saturation-free
     out += two_nu * (math.log(2.0) - taus - np.log1p(np.exp(-2.0 * taus)))
@@ -139,7 +142,7 @@ def _amplitudes(p: ChannelParams, mus, ks) -> np.ndarray:
     sign(cos)^(round(2nu)-k), each column normalized over ks.
     """
     if p.lam >= 0:
-        D = _log_amplitudes(p, mus, ks)
+        D = _log_amplitudes(p.y, mus, ks)
         return np.exp(D, out=D)
     two_nu = 1.0 / abs(p.y) - 1.0
     ks = np.asarray(ks)[:, None]
@@ -194,15 +197,69 @@ def _neg_rows(taus, p: ChannelParams, d: int) -> np.ndarray:
 # coherent vectors (all three regimes)
 # ---------------------------------------------------------------------------
 
-def _tail_bound(log_p_last: float, ratio: float) -> float:
-    """Geometric bound on the mass beyond the last kept level.
+def _sized_log_amplitudes(y: float, mus, tol: float, cap: int, dim: int | None,
+                          what: str):
+    """Log amplitudes [k, j] of _log_amplitudes(y, mus) on k < d, sized once.
 
-    log_p_last is log of the last kept probability; ratio bounds every
-    subsequent probability ratio (valid because the ratio is decreasing).
+    The probability ratio p_{k+1}/p_k of a column is r_k = tanh^2(tau)
+    (2 nu + k)/(k + 1) for y > 0 and mu^2/(k + 1) for y = 0.  It decreases in
+    k, so where r_k < 1 the mass beyond level k is at most p_k r_k/(1 - r_k),
+    a bound evaluated at every k < cap (or k < dim) in one pass.
+    dim=None: d is the smallest size whose bound is within tol in every
+    column; dim: d = dim, checked against tol.  Returns the table and its
+    largest bound at d.  TruncationError otherwise, naming the cap and the
+    closed-form mean level of the widest column (2 nu sinh^2 tau, or mu^2).
     """
-    if ratio >= 1.0:
-        return math.inf
-    return math.exp(log_p_last) * ratio / (1.0 - ratio)
+    mus = np.asarray(mus, dtype=float)
+    ks = np.arange(cap if dim is None else dim, dtype=float)[:, None]
+    la = _log_amplitudes(y, mus, ks[:, 0])
+    if y == 0:
+        r = mus**2 / (ks + 1.0)
+    else:
+        r = np.tanh(math.sqrt(y) * mus) ** 2 * (1.0 / y + 1.0 + ks) / (ks + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tails = np.where(r < 1.0, np.exp(2.0 * la) * r / (1.0 - r), math.inf)
+    tails = tails.max(axis=1)
+    if dim is None:
+        fits = np.flatnonzero(~(tails > tol))
+        if not fits.size:
+            top = mus.max()
+            with np.errstate(over="ignore"):
+                need = top**2 if y == 0 else (1 / y + 1) * np.sinh(math.sqrt(y) * top) ** 2
+            raise TruncationError(
+                f"tail bound {tails[-1]:.3e} exceeds {tol:.1e} at the cap {cap} "
+                f"({what}): the widest column needs about {need:.3g} levels "
+                f"(its mean level)"
+            )
+        d = int(fits[0]) + 1
+    else:
+        d = dim
+        if tails[-1] > tol:
+            raise TruncationError(
+                f"env_dim {dim} leaves tail bound {tails[-1]:.3e} > {tol:.1e} ({what})"
+            )
+    return la[:d], float(tails[d - 1])
+
+
+def _coherent_table(p: ChannelParams, ns, env_dim: int | None,
+                    tail_tol: float) -> tuple[np.ndarray, float]:
+    """Columns D(-i tau_n)|0> for n in ns as one table [k, j], and its tail bound.
+
+    lam < 0: amplitude_table on the whole finite space (env_dim ignored).
+    lam >= 0: cut at the size _sized_log_amplitudes certifies.
+    """
+    ns = np.asarray(ns)
+    _check_index(ns, p)
+    if p.lam < 0:
+        X, tb = amplitude_table(p, ns, max_dimension(p)), 0.0
+    else:
+        if env_dim is not None and env_dim < 1:
+            raise DimensionError(f"env_dim must be >= 1, got {env_dim}")
+        what = f"n={ns.max()}, gamma={p.gamma}, lam={p.lam}"
+        la, tb = _sized_log_amplitudes(p.y, mu(ns, p), tail_tol, ENV_DIM_CAP,
+                                       env_dim, what)
+        X = np.exp(la)
+    return (-1j) ** np.arange(len(X))[:, None] * X, tb
 
 
 def coherent_vector(n: int, p: ChannelParams, env_dim: int | None = None,
@@ -210,52 +267,13 @@ def coherent_vector(n: int, p: ChannelParams, env_dim: int | None = None,
     """Environment state D(-i tau_n)|0> in the Fock basis.
 
     lam < 0: exact on the forced finite dimension (env_dim is ignored).
-    lam >= 0: truncated; env_dim=None grows by doubling until the rigorous
-    tail bound drops below tail_tol (cap 512), an explicit env_dim is used
-    as given and still checked against tail_tol.
+    lam >= 0: truncated; env_dim=None takes the smallest size whose
+    rigorous tail bound is within tail_tol (cap 512), an explicit env_dim is
+    used as given and still checked against tail_tol.  The amplitudes at a
+    size are a prefix of those at any larger size.
     """
-    _check_index(n, p)
-    if p.lam < 0:
-        d = max_dimension(p)
-        amps = (-1j) ** np.arange(d) * amplitude_table(p, [n], d)[:, 0]
-        return CoherentVector(env_dim=d, amplitudes=amps, tail_bound=0.0)
-
-    mu_n = mu(n, p)
-    if p.lam > 0:
-        two_nu = 1.0 / p.y + 1.0
-        t2 = math.tanh(tau(n, p)) ** 2
-        ratio_at = lambda k: t2 * (two_nu + k) / (k + 1.0)
-    else:
-        ratio_at = lambda k: mu_n**2 / (k + 1.0)
-
-    def tail_of(dim_):
-        la = _log_amplitudes(p, [mu_n], np.arange(dim_))[:, 0]
-        return la, _tail_bound(2.0 * la[-1], ratio_at(dim_ - 1))
-
-    if env_dim is None:
-        dim_ = 64
-        la, tb = tail_of(dim_)
-        while tb > tail_tol and dim_ < ENV_DIM_CAP:
-            dim_ = min(2 * dim_, ENV_DIM_CAP)
-            la, tb = tail_of(dim_)
-        if tb > tail_tol:
-            raise TruncationError(
-                f"tail bound {tb:.3e} exceeds {tail_tol:.1e} at the env-dim cap "
-                f"{ENV_DIM_CAP} (n={n}, gamma={p.gamma}, lam={p.lam}): "
-                f"the displaced state needs a larger environment"
-            )
-    else:
-        if env_dim < 1:
-            raise DimensionError(f"env_dim must be >= 1, got {env_dim}")
-        dim_ = env_dim
-        la, tb = tail_of(dim_)
-        if tb > tail_tol:
-            raise TruncationError(
-                f"env_dim {env_dim} leaves tail bound {tb:.3e} > {tail_tol:.1e} "
-                f"(n={n}, gamma={p.gamma}, lam={p.lam})"
-            )
-    amps = (-1j) ** np.arange(dim_) * np.exp(la)
-    return CoherentVector(env_dim=dim_, amplitudes=amps, tail_bound=float(tb))
+    X, tb = _coherent_table(p, [n], env_dim, tail_tol)
+    return CoherentVector(env_dim=len(X), amplitudes=X[:, 0], tail_bound=tb)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +310,11 @@ def _kernel_from_mu(mus, p: ChannelParams) -> np.ndarray:
 
 
 def kernel_entry(n: int, m: int, p: ChannelParams) -> float:
-    """Dephasing multiplier K_{n,m} = <c_n|c_m>."""
+    """Dephasing multiplier K_{n,m} = <c_n|c_m>, clipped to [-1, 1] like
+    kernel_matrix."""
     ns = np.array([n, m])
     _check_index(ns, p)
-    return float(_kernel_from_mu(mu(ns, p), p)[0, 1])
+    return float(np.clip(_kernel_from_mu(mu(ns, p), p)[0, 1], -1.0, 1.0))
 
 
 def kernel_matrix(p: ChannelParams, dim: int) -> KernelMatrix:

@@ -242,6 +242,14 @@ class TestComplementary:
             complementary_apply(rho, p)
 
 
+    def test_refusal_names_the_cap_and_the_predicted_size(self):
+        """n=9 at (lam=0.3, gamma=0.5) has mean environment level
+        2 nu sinh^2(tau_9) = 2.06e5, far above the 512-level cap."""
+        p = ChannelParams(gamma=0.5, lam=0.3, omega=1.0)
+        with pytest.raises(TruncationError, match=r"cap 512 .*2\.06e\+05 levels"):
+            complementary_apply(DensityMatrix(np.eye(10) / 10), p)
+
+
 class TestCoherentInput:
     def test_output_is_valid_state(self):
         p = ChannelParams(gamma=1.0, lam=0.3, omega=1.0)
@@ -259,6 +267,31 @@ class TestCoherentInput:
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(out.entries, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.3])
+    def test_complex_alpha(self, lam):
+        """The diagonal is Poisson(|alpha|^2) on the output's levels, and
+        rho_01 carries the phase -arg(alpha) (K_01 > 0 here)."""
+        alpha = 1.5 - 0.7j
+        out = coherent_input_output(alpha, ChannelParams(gamma=1.0, lam=lam)).entries
+        k = np.arange(len(out))
+        a2 = abs(alpha) ** 2
+        poisson = np.exp(-a2 + k * math.log(a2) - np.array([math.lgamma(x + 1) for x in k]))
+        diag = np.real(np.diag(out))
+        np.testing.assert_allclose(diag, poisson / poisson.sum(), rtol=0, atol=1e-12)
+        if lam >= 0:
+            np.testing.assert_allclose(diag, poisson, rtol=0, atol=1e-10)
+        assert np.angle(out[0, 1]) == pytest.approx(-np.angle(alpha), abs=1e-12)
+
+    def test_projection_of_a_distant_state_does_not_underflow(self):
+        """|alpha|=30 projected onto the 5-level space of lam=-0.5: every
+        amplitude is below 1e-190, yet the renormalized state is valid."""
+        out = coherent_input_output(30.0, ChannelParams(gamma=1.0, lam=-0.5))
+        k = np.arange(out.dim)
+        logw = k * math.log(900.0) - np.array([math.lgamma(x + 1) for x in k])
+        w = np.exp(logw - logw.max())
+        np.testing.assert_allclose(np.real(np.diag(out.entries)), w / w.sum(),
+                                   rtol=0, atol=1e-12)
 
     def test_large_negative_space(self):
         """|3> on the d=1001 space of lam=-0.002: a valid state whose

@@ -130,6 +130,14 @@ def test_large_negative_space_matches_oracle(lam, gamma):
     assert K[0, d - 1] == 1.0
 
 
+def test_kernel_entry_at_a_mirror_pair_is_clipped_to_one():
+    """mu_1 = mu_39 at 2 omega/|lam| = 40, so K = 1 up to rounding; the
+    unclipped Gram product reads 1.0000000000000007."""
+    p = ChannelParams(gamma=1.0, lam=-0.05, omega=1.0)
+    assert kernel_entry(1, 39, p) == 1.0
+    assert kernel_entry(1, 39, p) == kernel_matrix(p, 40).entries[1, 39]
+
+
 def test_kernel_entry_beyond_negative_bound():
     p = ChannelParams(gamma=1.0, lam=-0.5, omega=1.0)
     with pytest.raises(DimensionError):

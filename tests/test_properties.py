@@ -1,18 +1,22 @@
-"""Property tests of the kernel, the Kraus family and the state check
-over random parameters.
+"""Property tests of the kernel, the Kraus family, coherent-vector sizing,
+phase covariance and the state check over random parameters.
 
 lam < 0 draws include non-integer 2 omega/|lam|, which the fixed grids of
 the acceptance suite do not reach.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrdeph import (ChannelParams, amplitude_table, kernel_entry,
-                      kernel_matrix, kraus_set, max_dimension)
-from conftest import (eigvalsh_verdict, spectrum_with_min, state_with_spectrum,
-                      verdict)
+from kerrdeph import (ChannelParams, TruncationError, amplitude_table,
+                      coherent_vector, complementary_apply, kernel_entry,
+                      kernel_matrix, kraus_set, max_dimension,
+                      phase_covariance_residual)
+from kerrdeph.kernel import ENV_DIM_CAP
+from conftest import (eigvalsh_verdict, random_density, spectrum_with_min,
+                      state_with_spectrum, verdict)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -54,6 +58,7 @@ def test_kernel_matrix_agrees_with_entries(case):
     K = kernel_matrix(p, dim).entries
     E = np.array([[kernel_entry(n, m, p) for m in range(dim)] for n in range(dim)])
     assert np.abs(K - E).max() <= 1e-14
+    assert np.abs(E).max() <= 1.0
 
 
 @SETTINGS
@@ -90,6 +95,46 @@ def test_amplitude_table_reproduces_the_kernel(case, L):
     if bound is None:
         missing = float(np.abs(1.0 - np.sum(D * D, axis=0)).max())
     assert np.abs(D.T @ D - K).max() <= 1e-12 + missing
+
+
+@SETTINGS
+@given(params().filter(lambda c: c[0].lam >= 0))
+def test_coherent_vectors_are_sized_once_and_minimally(case):
+    """coherent_vector(n) refuses exactly when env_dim=ENV_DIM_CAP refuses.
+    Otherwise its size d is the smallest certified one: env_dim=d gives the
+    same amplitudes and env_dim=d-1 refuses.  complementary_apply's
+    environment is the largest of its levels' d at the same tail_tol."""
+    p, dim = case
+    tol = 1e-13  # complementary_apply's default
+    rho = np.eye(dim) / dim
+    sizes = []
+    for n in range(dim):
+        try:
+            v = coherent_vector(n, p, tail_tol=tol)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                coherent_vector(n, p, env_dim=ENV_DIM_CAP, tail_tol=tol)
+            with pytest.raises(TruncationError):
+                complementary_apply(rho, p)
+            return
+        d = v.env_dim
+        at_cap = coherent_vector(n, p, env_dim=ENV_DIM_CAP, tail_tol=tol)
+        np.testing.assert_array_equal(at_cap.amplitudes[:d], v.amplitudes)
+        again = coherent_vector(n, p, env_dim=d, tail_tol=tol)
+        np.testing.assert_array_equal(again.amplitudes, v.amplitudes)
+        if d > 1:
+            with pytest.raises(TruncationError):
+                coherent_vector(n, p, env_dim=d - 1, tail_tol=tol)
+        sizes.append(d)
+    assert complementary_apply(rho, p).dim == max(sizes)
+
+
+@SETTINGS
+@given(params(), st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 2**32 - 1))
+def test_channel_is_phase_covariant(case, theta, seed):
+    p, dim = case
+    rho = random_density(np.random.default_rng(seed), dim)
+    assert phase_covariance_residual(rho, theta, p) <= 1e-12
 
 
 @SETTINGS
