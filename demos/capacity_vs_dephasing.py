@@ -27,9 +27,10 @@ for gamma in GAMMAS:
         mark = " " if res.converged else "?"
         cells.append(f"{res.Q:7.4f}{mark}")
     print(f"{gamma:7.2f}" + "".join(cells))
-print("\n? = KKT certificate above the 1e-9 target: at strong dephasing the")
-print("    optimum parks ~1e-12 of mass on high levels, where the gradient")
-print("    itself is only computable to ~1e-8; Q is still good to ~1e-8.")
+print("\n? = KKT certificate above the 1e-9 target.  At strong dephasing the")
+print("    optimum parks ~1e-12 of mass on high levels; the Newton polish")
+print("    resolves it with the closed-form Hessian, so every cell here is")
+print("    certified.")
 
 print()
 for N in NS:

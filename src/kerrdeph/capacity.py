@@ -15,6 +15,10 @@ enforced through its Lagrange multiplier (bisection over nu on the shifted
 objective J - nu <eps, p>): the feasible-set geometry never enters, which
 matters because the optimum can hold astronomically small but nonzero mass
 on expensive levels that projection-based iterations truncate to zero.
+
+Both derivatives of J are closed forms in the eigendecomposition of the
+Gram matrix: the gradient from f(G), f(x) = x log2 x, and the Hessian of
+the Newton polish from the divided differences of f (Daleckii-Krein).
 """
 
 import csv
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ChannelParams, max_dimension
+from .algebra import ChannelParams
 from .errors import DimensionError, DomainError, InvalidStateError
 from .kernel import _check_index, _kernel_from_mu, mu
 from ._parallel import parallel_map
@@ -47,11 +51,14 @@ __all__ = [
 _LOG2_FLOOR = 1e-300  # argument floor inside log2; entries at 0 contribute 0
 
 
+def _xlog2x(w: np.ndarray) -> np.ndarray:
+    """w log2 w elementwise with 0 log 0 := 0, for nonnegative weights."""
+    return np.where(w > 0.0, w * np.log2(np.maximum(w, _LOG2_FLOOR)), 0.0)
+
+
 def _h_bits(w: np.ndarray) -> float:
     """-sum w log2 w with 0 log 0 := 0, for nonnegative weights."""
-    w = np.asarray(w, dtype=float)
-    terms = np.where(w > 0.0, w * np.log2(np.maximum(w, _LOG2_FLOOR)), 0.0)
-    return float(-terms.sum())
+    return float(-_xlog2x(np.asarray(w, dtype=float)).sum())
 
 
 def von_neumann_entropy(rho) -> float:
@@ -135,14 +142,6 @@ def _menu_kernel(p: ChannelParams, indices, convention: str) -> np.ndarray:
     return _kernel_from_mu(mus, p)
 
 
-def _check_menu(p: ChannelParams, indices, convention: str):
-    bound = max_dimension(p)
-    if convention == "proof" and bound is not None and max(indices) >= bound:
-        raise DimensionError(
-            f"menu index {max(indices)} exceeds the lam<0 space (dim {bound})"
-        )
-
-
 def coherent_information(pvec, p: ChannelParams, indices=None,
                          convention: str = "proof") -> float:
     """J(p) = H(pvec) - S(Gram) in bits for a diagonal input on the menu."""
@@ -150,7 +149,6 @@ def coherent_information(pvec, p: ChannelParams, indices=None,
     if abs(pvec.sum() - 1.0) > 1e-9 or pvec.min() < -1e-12:
         raise DomainError("pvec must be a probability vector")
     idx = fock_menu(len(pvec) - 1) if indices is None else list(indices)
-    _check_menu(p, idx, convention)
     K = _menu_kernel(p, idx, convention)
     J, _ = _objective_and_gradient(np.clip(pvec, 0.0, None), K)
     return J
@@ -166,46 +164,50 @@ def two_level_eigenvalues(p1: float, K: float):
 def _objective_and_gradient(pv: np.ndarray, K: np.ndarray, shift=None):
     """J and its ambient gradient at weights pv >= 0 (need not be normalized).
 
-    dJ/dp_k = -log2 p_k + (1/p_k) sum_i log2(q_i) q_i V[k,i]^2; the 1/ln2
-    terms of the two entropies cancel.  Near-degenerate positive spectra
-    fall back to central differences (the per-eigenvalue formula is only
-    conditionally stable there).  A linear `shift` subtracts <shift, pv>
-    from the objective (Lagrangian for the energy constraint).
+    dJ/dp_k = -log2 p_k + (V f(q) V^T)_kk / p_k with f(x) = x log2 x and
+    G = V diag(q) V^T; the 1/ln2 terms of the two entropies cancel.  The
+    diagonal is a matrix function of G, so it does not depend on the basis
+    eigh picks inside a degenerate eigenspace.  A linear `shift` subtracts
+    <shift, pv> from the objective (Lagrangian for the energy constraint).
     """
     root = np.sqrt(pv)
     G = (root[:, None] * root[None, :]) * K
     q, V = np.linalg.eigh(G)
     qc = np.clip(q, 0.0, None)
-    xw = np.where(qc > 0.0, qc * np.log2(np.maximum(qc, _LOG2_FLOOR)), 0.0)
+    xw = _xlog2x(qc)
     J = _h_bits(pv) + float(xw.sum())  # H(p) - S = H(p) + sum q log2 q
-
-    positive = np.sort(qc[qc > 1e-12])
-    if len(positive) >= 2 and np.diff(positive).min() < 1e-12:
-        g = _gradient_fd(pv, K)
-    else:
-        pf = np.maximum(pv, _LOG2_FLOOR)
-        M = (V * V) @ xw
-        g = -np.log2(pf) + M / pf
+    pf = np.maximum(pv, _LOG2_FLOOR)
+    g = -np.log2(pf) + ((V * V) @ xw) / pf
     if shift is not None:
         return J - float(shift @ pv), g - shift
     return J, g
 
 
-def _gradient_fd(pv: np.ndarray, K: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    def val(v):
-        root = np.sqrt(np.clip(v, 0.0, None))
-        q = np.linalg.eigvalsh((root[:, None] * root[None, :]) * K)
-        qc = np.clip(q, 0.0, None)
-        return _h_bits(v) - _h_bits(qc)
+def _hessian(ps: np.ndarray, Ks: np.ndarray) -> np.ndarray:
+    """Hessian of J on a support with weights ps > 0 and kernel block Ks.
 
-    g = np.empty_like(pv)
-    for k in range(len(pv)):
-        e = np.zeros_like(pv)
-        e[k] = h
-        g[k] = (val(pv + e) - val(np.maximum(pv - e, 0.0))) / (2.0 * h)
-    return g
-
-
+    With G = sqrt(p) K sqrt(p) = V diag(q) V^T, (V^T dG/dp_l V)_ij =
+    V_li V_lj (q_i + q_j) / (2 p_l), and the Daleckii-Krein formula
+    differentiates f(G), f(x) = x log2 x, through the divided differences
+    F_ij of f:
+    H_kl = T_kl / (p_k p_l) - delta_kl [1/(p_k ln2) + f(G)_kk / p_k^2],
+    T_kl = sum_ij V_ki V_li V_kj V_lj F_ij (q_i + q_j) / 2.
+    A linear energy shift does not enter.
+    """
+    root = np.sqrt(ps)
+    q, V = np.linalg.eigh((root[:, None] * root[None, :]) * Ks)
+    q = np.clip(q, 0.0, None)
+    hi = np.maximum(q[:, None], q[None, :])
+    lo = np.minimum(q[:, None], q[None, :])
+    # F_ij ln2 = ln hi + r ln r / (r - 1), r = lo/hi: f'(q) at r = 1, f(hi)/hi at r = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = lo / hi
+        tail = np.where(r == 1.0, 1.0, np.where(r > 0.0, r * np.log(r) / (r - 1.0), 0.0))
+        A = np.where(hi > 0.0, (np.log(hi) + tail) * (hi + lo) / 2.0, 0.0) / math.log(2.0)
+    # one eigenvector i at a time, so memory stays O(n^2) at large menus
+    T = sum(np.outer(V[:, i], V[:, i]) * ((V * A[i]) @ V.T) for i in range(len(q)))
+    fG = (V * V) @ _xlog2x(q)
+    return T / np.outer(ps, ps) - np.diag(1.0 / (ps * math.log(2.0)) + fG / ps**2)
 
 
 def _kkt_residual(pv: np.ndarray, g: np.ndarray, support_tol: float = 1e-12) -> float:
@@ -223,9 +225,10 @@ def _newton_polish(pv, K, tol, shift=None, rounds: int = 40):
 
     Exponentiated-gradient ascent stalls once J differences fall below one
     ulp, which happens while the gradient residual is still ~1e-8; Newton
-    steps driven by the gradient itself (FD Hessian of the analytic
-    gradient) contract the residual below that floor.  Coordinates at zero
-    stay frozen unless the KKT check says mass should flow back into them.
+    steps on the gradient with the closed-form Hessian (`_hessian`, one
+    eigh per round) contract the residual below that floor.  Coordinates at
+    zero stay frozen unless the KKT check says mass should flow back into
+    them.
     """
     pv = np.clip(np.asarray(pv, dtype=float), 0.0, None)
     pv = pv / pv.sum()
@@ -247,16 +250,8 @@ def _newton_polish(pv, K, tol, shift=None, rounds: int = 40):
         k = len(idx)
         if k < 2:
             break
-        h = 1e-6
-        H = np.empty((k, k))
-        for a, ia in enumerate(idx):
-            e = np.zeros_like(pv)
-            e[ia] = h
-            H[:, a] = (_objective_and_gradient(pv + e, K, shift)[1][idx]
-                       - _objective_and_gradient(np.maximum(pv - e, 0.0), K, shift)[1][idx]) / (2 * h)
-        H = (H + H.T) / 2.0
         kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = H
+        kkt[:k, :k] = _hessian(pv[idx], K[np.ix_(idx, idx)])
         kkt[:k, k] = 1.0
         kkt[k, :k] = 1.0
         rhs = np.zeros(k + 1)
@@ -270,16 +265,20 @@ def _newton_polish(pv, K, tol, shift=None, rounds: int = 40):
         alpha = 1.0
         if neg.any():
             alpha = min(1.0, float(0.95 * np.min(-pv[idx][neg] / step[neg])))
-        cand = pv.copy()
-        cand[idx] = pv[idx] + alpha * step
-        cand = np.clip(cand, 0.0, None)
-        cand = cand / cand.sum()
-        Jc, gc = _objective_and_gradient(cand, K, shift)
-        rc = _kkt_residual(cand, gc)
-        if rc < r:
-            pv, J, g, r = cand, Jc, gc, rc
-        else:
+        # the damped step, else half of it: where J grows like -p log p a
+        # tiny support mass overshoots towards zero under the exact Hessian
+        for scale in (1.0, 0.5):
+            cand = pv.copy()
+            cand[idx] = pv[idx] + scale * alpha * step
+            cand = np.clip(cand, 0.0, None)
+            cand = cand / cand.sum()
+            Jc, gc = _objective_and_gradient(cand, K, shift)
+            rc = _kkt_residual(cand, gc)
+            if rc < r:
+                break
+        if rc >= r:
             break
+        pv, J, g, r = cand, Jc, gc, rc
     return pv, J, r
 
 
@@ -344,7 +343,6 @@ def optimize_capacity(p: ChannelParams, N: int, constraint: EnergyConstraint | N
     idx = fock_menu(N) if indices is None else list(indices)
     if len(idx) != N + 1:
         raise DomainError(f"menu has {len(idx)} levels, expected N+1={N + 1}")
-    _check_menu(p, idx, convention)
     K = _menu_kernel(p, idx, convention)
 
     rng = np.random.default_rng(seed)
@@ -413,7 +411,6 @@ def exhaustive_capacity(p: ChannelParams, N: int, step: float = 0.01,
     if not 0.0 < step <= 1.0:
         raise DomainError(f"step must be in (0, 1], got {step}")
     idx = fock_menu(N) if indices is None else list(indices)
-    _check_menu(p, idx, convention)
     K = _menu_kernel(p, idx, convention)
 
     ticks = np.arange(0.0, 1.0 + step / 2.0, step)
@@ -429,10 +426,7 @@ def exhaustive_capacity(p: ChannelParams, N: int, step: float = 0.01,
     G = root[:, :, None] * root[:, None, :] * K[None, :, :]
     q = np.clip(np.linalg.eigvalsh(G), 0.0, None)
 
-    def rows_h(w):
-        return -np.where(w > 0.0, w * np.log2(np.maximum(w, _LOG2_FLOOR)), 0.0).sum(axis=1)
-
-    J = rows_h(P) - rows_h(q)
+    J = _xlog2x(q).sum(axis=1) - _xlog2x(P).sum(axis=1)
     i = int(np.argmax(J))
     return float(min(max(J[i], 0.0), math.log2(N + 1))), P[i]
 
@@ -450,15 +444,14 @@ def capacity_sweep(lambdas, gammas, Ns, omega: float = 1.0,
     def run(job):
         lam, N, g = job
         params = ChannelParams(gamma=g, lam=lam, omega=omega)
-        idx = fock_menu(N, offsets)
-        try:
-            _check_menu(params, idx, convention)
+        try:  # a menu past the lam<0 space is refused before any work
+            res = optimize_capacity(params, N, constraint=constraint,
+                                    indices=fock_menu(N, offsets),
+                                    convention=convention)
         except DimensionError:
             return CapacityRow(lam=lam, gamma=g, N=N, Q=math.nan,
                                pvec=np.full(N + 1, math.nan), converged=False,
                                valid=False)
-        res = optimize_capacity(params, N, constraint=constraint, indices=idx,
-                                convention=convention)
         return CapacityRow(lam=lam, gamma=g, N=N, Q=res.Q, pvec=res.pvec,
                            converged=res.converged, valid=True)
 

@@ -99,13 +99,37 @@ def test_kkt_certificate_reported():
 
 
 @pytest.mark.parametrize("lam,gamma", [(0.5, 1.0), (0.2, 2.0)])
-def test_default_starts_converge_where_uniform_start_stalls(lam, gamma, ascents):
-    """At these N=4 points the uniform start alone (starts=0) stops with
-    KKT residual 1.8e-7 and 1.5e-8; the default fallback starts converge."""
+def test_uniform_start_certifies_former_stall_points(lam, gamma, ascents):
+    """At these N=4 points the uniform start used to stop with KKT residual
+    1.8e-7 and 1.5e-8 under a finite-difference Hessian; the closed-form
+    Newton polish certifies it, so no fallback start runs."""
     res = optimize_capacity(ChannelParams(gamma=gamma, lam=lam, omega=1.0), 4)
     assert res.converged
     assert res.kkt_residual < 1e-9
-    assert len(ascents) > 1
+    assert len(ascents) == 1
+
+
+def test_uniform_start_converges_at_strong_dephasing():
+    """(gamma=4, lam=0.2, N=3) parks ~2e-12 of mass on the top level."""
+    res = optimize_capacity(ChannelParams(gamma=4.0, lam=0.2, omega=1.0), 3, starts=0)
+    assert res.converged
+    assert res.kkt_residual < 1e-9
+
+
+def test_later_start_that_certifies_ends_the_search(ascents, monkeypatch):
+    """When the uniform ascent is not certified, the fallback starts run in
+    order only until one certifies: here the first Dirichlet start does."""
+    counted = capacity_module._ascend_simplex
+
+    def first_uncertified(*args, **kwargs):
+        out = counted(*args, **kwargs)
+        return out[:3] + (False,) + out[4:] if len(ascents) == 1 else out
+
+    monkeypatch.setattr(capacity_module, "_ascend_simplex", first_uncertified)
+    res = optimize_capacity(ChannelParams(gamma=1.0, lam=0.5, omega=1.0), 2)
+    assert res.converged
+    assert res.kkt_residual < 1e-9
+    assert len(ascents) == 2
 
 
 def test_certified_uniform_start_runs_no_fallback(ascents):
@@ -199,6 +223,31 @@ class TestConventions:
         a = optimize_capacity(p, 2, convention="proof", starts=2).Q
         b = optimize_capacity(p, 2, convention="eq19", starts=2).Q
         assert a == pytest.approx(b, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam,gamma,indices,uniform", [
+    (0.3, 0.9, [0, 1, 2, 3], False),     # random interior point
+    (1.0, 4.0, [0, 1, 2, 3], True),      # eigenvalue gap 1.4e-6
+    (0.2, 0.0, [0, 1, 2], False),        # rank-one K
+    (-0.05, 1.0, [1, 39], False),        # mirror pair, K = 1
+])
+def test_closed_form_hessian_matches_finite_difference(lam, gamma, indices, uniform):
+    """_hessian against central differences of the analytic gradient."""
+    from kerrdeph.capacity import _hessian, _menu_kernel, _objective_and_gradient
+
+    K = _menu_kernel(ChannelParams(gamma=gamma, lam=lam, omega=1.0), indices, "proof")
+    k = len(indices)
+    pv = (np.full(k, 1.0 / k) if uniform
+          else np.random.default_rng(3).dirichlet(np.ones(k)))
+    h = 1e-6
+    fd = np.empty((k, k))
+    for a in range(k):
+        e = np.zeros(k)
+        e[a] = h
+        fd[:, a] = (_objective_and_gradient(pv + e, K)[1]
+                    - _objective_and_gradient(pv - e, K)[1]) / (2 * h)
+    H = _hessian(pv, K)
+    assert np.abs(H - fd).max() <= 1e-4 * np.abs(fd).max()
 
 
 def test_analytic_gradient_matches_finite_difference():

@@ -6,6 +6,7 @@ import pytest
 from kerrdeph import (
     ChannelParams,
     DimensionError,
+    amplitude_table,
     coherent_vector,
     kernel_entry,
     kernel_map,
@@ -128,6 +129,21 @@ def test_large_negative_space_matches_oracle(lam, gamma):
     worst = max(abs(K[n, m] - cell.value) for (n, m), cell in zip(pairs, cells))
     assert worst <= 1e-12
     assert K[0, d - 1] == 1.0
+
+
+@pytest.mark.parametrize("lam", [-5e-5, -4.9e-5])
+@pytest.mark.parametrize("gamma", [0.5, 4.0, 100.0])
+def test_windowed_negative_kernel_matches_full_space_table(lam, gamma):
+    """Above 32768 levels the lam<0 kernel sums the Gram product over the
+    columns' amplitude windows only (d = 40001 at integer 2 omega/|lam|,
+    40817 off it); it must equal the product over the whole space."""
+    p = ChannelParams(gamma=gamma, lam=lam, omega=1.0)
+    d = max_dimension(p)
+    assert d == {-5e-5: 40001, -4.9e-5: 40817}[lam]
+    for n, m in [(0, 1), (3, 4), (0, 11), (5, 40), (2, 200)]:
+        D = amplitude_table(p, [n, m], d)
+        want = float(np.clip(D[:, 0] @ D[:, 1], -1.0, 1.0))
+        assert abs(kernel_entry(n, m, p) - want) <= 1e-14
 
 
 def test_kernel_entry_at_a_mirror_pair_is_clipped_to_one():
