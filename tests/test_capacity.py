@@ -146,13 +146,67 @@ def test_certified_uniform_start_runs_no_fallback(ascents):
     assert res.J_trace == alone.J_trace
 
 
-def test_uncertified_point_runs_every_start(ascents):
-    """No start certifies at (lam=1, gamma=4, N=4): all 1 + starts ascents
-    run and the best-of selection keeps the multistart's result."""
+def test_newton_trial_certifies_former_uncertified_point(ascents):
+    """At (lam=1, gamma=4, N=4) no ascent used to certify (KKT residual
+    1.3e-4 after all 9); the Newton trial at residual 1e-3 certifies one."""
     res = optimize_capacity(ChannelParams(gamma=4.0, lam=1.0, omega=1.0), 4)
-    assert len(ascents) == 1 + 8
+    assert res.converged
+    assert res.kkt_residual < 1e-9
+    assert len(ascents) < 1 + 8
+    assert res.Q >= 0.000125745796636 - 1e-15
+
+
+def test_uncertified_ascents_run_every_start_and_keep_the_best(monkeypatch):
+    """When no ascent certifies, all 1 + starts ascents run and the
+    best-of selection keeps the largest J (ties within 5e-15 go to the
+    earlier start)."""
+    outs = []
+    ascend = capacity_module._ascend_simplex
+
+    def uncertified(*args, **kwargs):
+        out = ascend(*args, **kwargs)
+        outs.append(out)
+        return out[:3] + (False,) + out[4:]
+
+    monkeypatch.setattr(capacity_module, "_ascend_simplex", uncertified)
+    res = optimize_capacity(ChannelParams(gamma=1.0, lam=0.5, omega=1.0), 2, starts=4)
+    assert len(outs) == 1 + 4
     assert not res.converged
-    assert res.Q == pytest.approx(0.000125745796636, rel=0, abs=1e-15)
+    kept = [out for out in outs if out[0] is res.pvec]
+    assert len(kept) == 1
+    assert kept[0][1] >= max(out[1] for out in outs) - 5e-15
+
+
+def test_failed_newton_trial_is_discarded(monkeypatch):
+    """A Newton trial that does not certify leaves the mirror ascent where it
+    was; the ascent and its last polish still certify the same optimum."""
+    p = ChannelParams(gamma=0.25, lam=0.5, omega=1.0)
+    want = optimize_capacity(p, 2, starts=0)
+    calls = []
+    polish = capacity_module._newton_polish
+
+    def first_fails(pv, K, tol, shift=None, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            pv = np.asarray(pv) / np.sum(pv)
+            return pv, capacity_module._objective_and_gradient(pv, K, shift)[0], np.inf
+        return polish(pv, K, tol, shift, **kwargs)
+
+    monkeypatch.setattr(capacity_module, "_newton_polish", first_fails)
+    res = optimize_capacity(p, 2, starts=0)
+    assert len(calls) >= 2
+    assert res.converged
+    assert res.kkt_residual < 1e-9
+    assert res.Q == pytest.approx(want.Q, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam,gamma", [(0.5, 0.25), (0.0, 1.25)])
+def test_newton_trial_ends_the_ascent_early(lam, gamma):
+    """Run to the stall rule, these README sweep points took 335 and 319
+    mirror steps; the Newton trial at residual 1e-3 ends them in about 13."""
+    res = optimize_capacity(ChannelParams(gamma=gamma, lam=lam, omega=1.0), 2)
+    assert res.converged
+    assert len(res.J_trace) <= 40
 
 
 def test_matches_exhaustive_search():
@@ -200,6 +254,18 @@ class TestEnergyConstraint:
         assert capped.active_energy_constraint
         assert capped.Q < free.Q
         assert float(capped.pvec @ eps) <= budget + 1e-9
+
+    def test_capped_optimum_matches_a_tighter_solve(self):
+        """The bisection warm-starts each solve from the last one, so the
+        polish must go past tol: mirror steps up to the stall rule and a
+        polish that stopped at tol left this call 9.4e-11 short of the
+        tol=1e-12 solve."""
+        p = ChannelParams(gamma=1.0, lam=-0.4, omega=1.0)
+        cap = EnergyConstraint(0.5)
+        res = optimize_capacity(p, 3, constraint=cap)
+        tight = optimize_capacity(p, 3, constraint=cap, tol=1e-12)
+        assert res.converged and tight.converged
+        assert res.Q == pytest.approx(tight.Q, rel=0, abs=1e-11)
 
     def test_infeasible_budget_is_rejected(self):
         p = ChannelParams(gamma=1.0, lam=0.5, omega=1.0)
