@@ -3,23 +3,28 @@
 The off-diagonal suppression K(0,2) behaves very differently on the two
 sides of lambda = 0: the positive branch decays monotonically (sech-power
 law), while the negative branch oscillates and periodically revives.
-Writes the full grid to kernel_map.csv next to this script.
+Writes the full grid to the path given as the first argument, by default
+kernel_map.csv next to this script:
+
+    python demos/kernel_phase_map.py [out.csv]
 """
 
 import pathlib
+import sys
 
 import numpy as np
 
 from kerrdeph import kernel_map, write_kernel_map_csv
 
 HERE = pathlib.Path(__file__).parent
+OUT = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else HERE / "kernel_map.csv"
 GLYPHS = " .:-=+*#%@"
 
 lambdas = np.linspace(-1.0, 1.0, 21)
 gammas = np.linspace(0.0, 12.0, 25)
 
 rows = kernel_map(lambdas, gammas, n=0, m=2)
-write_kernel_map_csv(rows, HERE / "kernel_map.csv")
+write_kernel_map_csv(rows, OUT)
 
 by_lam = {}
 for r in rows:
@@ -51,4 +56,4 @@ gamma_rev = (8 * np.pi) ** 2 / 0.25
 K = kernel_matrix(ChannelParams(gamma=gamma_rev, lam=-0.5, omega=1.0), 5).entries
 print(f"predicted full revival for lam=-0.5 at gamma = 256 pi^2 = "
       f"{gamma_rev:.1f}: min K = {K.min():.12f}")
-print(f"grid written to {HERE / 'kernel_map.csv'}")
+print(f"grid written to {OUT}")

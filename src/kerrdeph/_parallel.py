@@ -1,7 +1,8 @@
 """Order-preserving map over grid points, evaluated in one thread.
 
 With the interpreter lock a thread pool was no faster than one thread on
-any measured grid (kernel maps, capacity sweeps).  The module stays because
+any measured grid (kernel maps, capacity sweeps).  Only capacity_sweep calls
+it now; kernel_map evaluates a lambda row at a time.  The module stays because
 perfbench traces parallel_map and thread_count by name.
 """
 

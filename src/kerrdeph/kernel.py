@@ -18,7 +18,11 @@ is within tolerance (_sized_log_amplitudes), or refused above a cap.
              with t = tanh tau, but immune to tanh saturating at 1.0)
   lam < 0   K = D^T D, the Gram product of the table on the finite space;
             the closed-form power cos^{2 nu} is branch-ambiguous and never used.
-The lam >= 0 forms are evaluated on the whole matrix |mu_n - mu_m| at once.
+The lam >= 0 forms live in one helper (_closed_form), applied elementwise to
+|mu_n - mu_m|: a whole matrix for kernel_matrix, a gamma column for kernel_map.
+kernel_map takes one lambda row at a time; at lam < 0 each chunk of gammas
+shares one table and stacks its 2 x 2 Gram products, equal bit for bit to
+kernel_entry.
 
 The lam < 0 amplitudes carry the sign of the cos^{2 nu - k} prefactor.  For
 integer 2 omega/|lam| this reproduces the exact su(2) evolution (checked
@@ -35,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from . import _parallel
 from .algebra import ChannelParams, max_dimension
 from .errors import DimensionError, DivergenceError, DomainError, TruncationError
 
@@ -57,6 +60,8 @@ __all__ = [
 ENV_DIM_CAP = 512
 #: tail tolerance target for automatic truncation
 TAIL_TOL = 1e-10
+#: amplitude-table entries per lam<0 kernel_map chunk of gammas (8 MB)
+_MAP_TABLE_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -280,6 +285,22 @@ def coherent_vector(n: int, p: ChannelParams, env_dim: int | None = None,
 # kernels
 # ---------------------------------------------------------------------------
 
+def _closed_form(K, y: float) -> np.ndarray:
+    """lam >= 0 kernel from K = |mu_a - mu_b| (any shape), in place, so that
+    few dim x dim temporaries are alive at once.  y = 0 is the lam = 0 branch."""
+    if y == 0:
+        K *= K
+        K *= -0.5
+    else:
+        K *= math.sqrt(y)
+        # 2 nu log sech(dt) = -2 nu (dt + log(1 + e^{-2 dt}) - log 2)
+        tail = np.exp(-2.0 * K)
+        K += np.log1p(tail, out=tail)
+        K -= math.log(2.0)
+        K *= -(1.0 / y + 1.0)
+    return np.exp(K, out=K)
+
+
 def _kernel_from_mu(mus, p: ChannelParams) -> np.ndarray:
     """K[a, b] = <c_a|c_b> for the displacement magnitudes mus (any lam regime).
 
@@ -292,19 +313,7 @@ def _kernel_from_mu(mus, p: ChannelParams) -> np.ndarray:
         D = _amplitudes(p, mus, rows)
         K = D.T @ D
     else:
-        # in place, so that few dim x dim temporaries are alive at once
-        K = np.abs(mus[:, None] - mus[None, :])
-        if p.lam == 0:
-            K *= K
-            K *= -0.5
-        else:
-            K *= math.sqrt(p.y)
-            # 2 nu log sech(dt) = -2 nu (dt + log(1 + e^{-2 dt}) - log 2)
-            tail = np.exp(-2.0 * K)
-            K += np.log1p(tail, out=tail)
-            K -= math.log(2.0)
-            K *= -(1.0 / p.y + 1.0)
-        np.exp(K, out=K)
+        K = _closed_form(np.abs(mus[:, None] - mus[None, :]), p.y)
     K[mus[:, None] == mus[None, :]] = 1.0
     return K
 
@@ -388,24 +397,58 @@ class KernelMapRow:
     valid: bool
 
 
+def _kernel_row(p: ChannelParams, gammas: np.ndarray, n: int, m: int) -> np.ndarray:
+    """K_{n,m} at each gamma of a 1-D array, at the lam and omega of p.
+
+    Bit for bit kernel_entry(n, m, ChannelParams(gamma, lam, omega)): the same
+    mu arithmetic, the closed form elementwise for lam >= 0, and for lam < 0
+    one amplitude table per chunk of gammas whose 2 x 2 Gram products are
+    stacked, so each is the D^T D (syrk) product kernel_entry takes.
+    """
+    root = np.sqrt(gammas)
+    mu_n = root * n * (1.0 + p.y * n)
+    mu_m = root * m * (1.0 + p.y * m)
+    if p.lam >= 0:
+        K = _closed_form(np.abs(mu_n - mu_m), p.y)
+    else:
+        d = max_dimension(p)
+        step = max(1, _MAP_TABLE_ENTRIES // (2 * d))
+        K = np.empty(len(gammas))
+        for lo in range(0, len(gammas), step):
+            # columns interleaved (n, m, n, m, ...): S[j] is the pair at gamma j
+            mus = np.column_stack([mu_n[lo:lo + step], mu_m[lo:lo + step]]).ravel()
+            D = _amplitudes(p, mus, _neg_rows(math.sqrt(-p.y) * mus, p, d))
+            S = D.reshape(len(D), -1, 2).transpose(1, 0, 2)
+            K[lo:lo + step] = (S.transpose(0, 2, 1) @ S)[:, 0, 1]
+    K[mu_n == mu_m] = 1.0
+    return np.clip(K, -1.0, 1.0, out=K)
+
+
 def kernel_map(lambdas, gammas, n: int, m: int, omega: float = 1.0):
     """Kernel values over a (lambda, gamma) grid at fixed (n, m).
 
-    Rows follow grid order (lambda outer, gamma inner) regardless of the
-    evaluation schedule.  Grid points where (n, m) exceed the lam<0 space
-    are kept with valid=False and K = nan.
+    Rows follow grid order (lambda outer, gamma inner), and each K equals
+    kernel_entry at its point.  Grid points where (n, m) exceed the lam<0
+    space are kept with valid=False and K = nan.  Errors are those of the
+    first invalid point in grid order, as if each point were built alone.
     """
-    points = [(lam_, g) for lam_ in lambdas for g in gammas]
-
-    def row(point):
-        lam_, g = point
-        p = ChannelParams(gamma=g, lam=lam_, omega=omega)
+    gammas = list(gammas)
+    if not gammas:
+        return []
+    G = np.asarray(gammas, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(G) | (G < 0))
+    rows = []
+    for lam_ in lambdas:
+        p = ChannelParams(gamma=gammas[0], lam=lam_, omega=omega)
         bound = max_dimension(p)
-        if bound is not None and (n >= bound or m >= bound):
-            return KernelMapRow(lam_, g, n, m, math.nan, False)
-        return KernelMapRow(lam_, g, n, m, kernel_entry(n, m, p), True)
-
-    return _parallel.parallel_map(row, points)
+        fits = bool(bound is None or (n < bound and m < bound))
+        if fits:
+            _check_index(np.array([n, m]), p)
+        if bad.size:  # raises ChannelParams' error for the first bad gamma
+            ChannelParams(gamma=gammas[bad[0]], lam=lam_, omega=omega)
+        K = _kernel_row(p, G, n, m).tolist() if fits else [math.nan] * len(G)
+        rows += [KernelMapRow(lam_, g, n, m, k, fits) for g, k in zip(gammas, K)]
+    return rows
 
 
 def write_kernel_map_csv(rows, path) -> None:

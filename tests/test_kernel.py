@@ -1,11 +1,14 @@
 """Closed-form kernel: exact limits, frozen reference values, revivals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kerrdeph import (
     ChannelParams,
     DimensionError,
+    DomainError,
     amplitude_table,
     coherent_vector,
     kernel_entry,
@@ -212,3 +215,81 @@ def test_kernel_map_csv_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "lambda,gamma,n,m,K,valid"
     assert len(lines) == 5
+
+
+MAP_LAMBDAS = [-1.0, -0.7, -0.5, -0.13, -0.1, -0.02, 0.0, 0.3, 1.0]
+MAP_GAMMAS = [0.0, 0.5, 4.0, 12.0]
+
+
+def _assert_rows_equal_entries(rows, lambdas, gammas, n, m):
+    assert [(r.lam, r.gamma) for r in rows] == [(lam, g) for lam in lambdas
+                                                for g in gammas]
+    for r in rows:
+        assert (r.n, r.m) == (n, m)
+        if r.valid:
+            assert r.K == kernel_entry(n, m, ChannelParams(r.gamma, r.lam))
+        else:
+            assert np.isnan(r.K)
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (1, 5)])
+def test_kernel_map_equals_kernel_entry_exactly(n, m):
+    """Each row of a map, evaluated a lambda row at a time, is bit for bit
+    the kernel_entry of its point, on all three branches."""
+    rows = kernel_map(MAP_LAMBDAS, MAP_GAMMAS, n, m)
+    _assert_rows_equal_entries(rows, MAP_LAMBDAS, MAP_GAMMAS, n, m)
+    assert sum(r.valid for r in rows) == (36 if m == 2 else 24)
+
+
+def test_windowed_kernel_map_equals_kernel_entry_exactly():
+    """d = 40001 > 32768: the map's table spans the union of the windows of
+    every gamma in a chunk, kernel_entry's only those of its own pair."""
+    gammas = [0.0, 0.5, 4.0, 100.0]
+    rows = kernel_map([-5e-5], gammas, 2, 7)
+    assert all(r.valid for r in rows)
+    _assert_rows_equal_entries(rows, [-5e-5], gammas, 2, 7)
+
+
+def test_kernel_map_rows_past_the_negative_space_are_nan():
+    rows = kernel_map([-1.0, -0.5], [0.0, 1.0], 0, 5)
+    assert [r.valid for r in rows] == [False] * 4
+    assert all(np.isnan(r.K) for r in rows)
+
+
+def test_kernel_map_of_an_empty_grid_is_empty():
+    assert kernel_map([], [0.5, 1.0], 0, 1) == []
+    assert kernel_map([0.0, 0.5], [], 0, 1) == []
+    assert kernel_map(np.array([0.5]), np.array([]), 0, 1) == []
+
+
+@pytest.mark.parametrize("lambdas, gammas, n, message", [
+    ([0.0], [0.5, -1.0, np.nan], 0, "gamma must be finite and >= 0, got -1.0"),
+    ([0.0], [np.nan], 0, "gamma must be finite and >= 0, got nan"),
+    ([0.3, 0.5], [1.0, -1.0], -1, "Fock index must be >= 0, got -1"),
+    ([0.3], np.array([-1.0, 2.0]), -1, "gamma must be finite and >= 0, got -1.0"),
+    ([-0.5], [1.0, -2.0], -1, "gamma must be finite and >= 0, got -2.0"),
+])
+def test_kernel_map_raises_at_the_first_invalid_point(lambdas, gammas, n, message):
+    """The first invalid point in grid order decides the error, as if every
+    point were built on its own: a gamma before the index at the first gamma
+    of a row, the index before any later gamma.  Past the lam<0 space (pair
+    (-1, 7) at lam = -0.5) the index is not checked, the gammas still are."""
+    with pytest.raises(DomainError) as info:
+        kernel_map(lambdas, gammas, n, 7)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lam, m", [(-6.2e-5, 40), (-3e-6, 60)])
+def test_kernel_map_table_memory_is_bounded(lam, m):
+    """A lam<0 row builds its table a chunk of gammas at a time.  One table
+    over all 21 gammas peaks near 335 MB at lam = -3e-6; chunked, these
+    peak near 17 MB (d = 32259, 16 gammas a chunk) and 3 MB (d = 666667,
+    one gamma a chunk)."""
+    tracemalloc.start()
+    try:
+        rows = kernel_map([lam], np.linspace(0.0, 300.0, 21), 0, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.valid for r in rows)
+    assert peak <= 32 * 2**20

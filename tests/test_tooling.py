@@ -1,0 +1,66 @@
+"""The benchmark harness under perfbench/ traces kerrdeph from outside, by
+module and function name.  A renamed hook silently turns its metrics into
+null, and a print in library code breaks the harness's last-line result, so
+both are checked here against perfbench's own tables (read, never edited).
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's tracing and layers modules, imported as it imports them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    names = ("tracing", "layers")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield tuple(importlib.import_module(name) for name in names)
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+def test_every_traced_module_and_counted_hook_exists(perfbench):
+    tracing, _ = perfbench
+    for _, modname in tracing.LAYERS:
+        importlib.import_module(modname)
+    for modname, attr in tracing.COUNTED:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), (
+            f"{modname}.{attr}")
+
+
+def test_traced_pass_reports_no_null_metric(perfbench):
+    """With no spans yet every metric is a number: only a missing hook makes
+    one null.  trace.overhead_* are filled in later by the parent process."""
+    tracing, layers = perfbench
+    tracer = tracing.install(tracing.Tracer())
+    try:
+        missing = set(tracer.missing)
+        out = layers.metrics(tracer, 0)
+    finally:
+        tracing.uninstall(tracer)
+    assert missing == set()
+    assert {name for name, _ in layers.PER_LAYER} == set(out)
+    nulls = [k for k, v in out.items()
+             if v is None and not k.startswith("trace.overhead")]
+    assert nulls == []
+
+
+def test_only_the_cli_writes_to_stdout():
+    """perfbench reads a pass's result from its last stdout line."""
+    for path in sorted((ROOT / "src" / "kerrdeph").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "print", f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Attribute) and node.attr == "stdout":
+                raise AssertionError(f"{path.name}:{node.lineno} uses stdout")
