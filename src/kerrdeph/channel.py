@@ -87,6 +87,11 @@ class DensityMatrix:
     rounding margin it needs reaches 1e-10 (a large or badly scaled matrix),
     the smallest eigenvalue is computed with eigvalsh and compared with
     -1e-10 as before, so every refusal and its message are unchanged.
+
+    Every matrix a caller hands in is checked.  The outputs of apply and
+    coherent_input_output are built by _trusted instead, with no check,
+    because they are states by construction (see apply).  A DensityMatrix is
+    treated as immutable: editing .entries in place voids its invariants.
     """
 
     __slots__ = ("dim", "entries")
@@ -119,6 +124,19 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def _trusted(entries: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix of entries the package built as a state, unchecked.
+
+    Only for outputs whose invariants follow from a checked input, as argued
+    in apply and coherent_input_output; caller input goes through
+    DensityMatrix.
+    """
+    state = DensityMatrix.__new__(DensityMatrix)
+    state.dim = entries.shape[0]
+    state.entries = entries
+    return state
+
+
 def _entries(rho) -> np.ndarray:
     return np.asarray(getattr(rho, "entries", rho), dtype=complex)
 
@@ -144,10 +162,28 @@ class KrausSet:
 
 
 def apply(rho, p: ChannelParams) -> DensityMatrix:
-    """Channel output: Hadamard product of the state with the kernel matrix."""
+    """Channel output: Hadamard product of the state with the kernel matrix.
+
+    The input is checked once (a DensityMatrix was checked when built); the
+    output is not re-checked, because it inherits the invariants:
+    - the kernel is real, exactly symmetric, has an exactly unit diagonal and
+      |K| <= 1 on every branch, so the output's entries are finite, its
+      Hermiticity residual is the input's up to one rounding per entry, and
+      its diagonal, hence its trace, is the input's bit for bit;
+    - positivity (Schur product theorem; Bhatia, Positive Definite Matrices,
+      ch. 5): for K >= 0, K o (h - l I) >= 0 with l = lambda_min(h) gives
+      lambda_min(K o h) >= lambda_min(h), since diag K = 1.  For a computed
+      K >= -delta I the bound is lambda_min(h) (1 + delta) - delta max h_ii.
+      Measured up to dim 400, delta <= 7e-15 at gamma >= 0.01 on the lam >= 0
+      branches and <= 1.4e-13 everywhere (lam < 0 Gram products, and gamma
+      <= 1e-4 where K is nearly the all-ones matrix), below _certified_psd's
+      own rounding margin (1.4e-12 at dim 400).
+    The lam > 0 part rests on the closed form being free of cancellation
+    (see kernel._closed_form).
+    """
     state = _as_state(rho)
     K = kernel_matrix(p, state.dim).entries
-    return DensityMatrix(K * state.entries)
+    return _trusted(K * state.entries)
 
 
 def complementary_apply(rho, p: ChannelParams, env_dim: int | None = None,
@@ -156,7 +192,8 @@ def complementary_apply(rho, p: ChannelParams, env_dim: int | None = None,
 
     Depends on the input diagonal only.  The tight default tail tolerance
     keeps the output trace within the DensityMatrix invariant for lam > 0;
-    unreachable tolerances raise TruncationError.
+    unreachable tolerances raise TruncationError.  Unlike apply, the output
+    is checked: its trace is 1 only to within the tail tolerance.
     """
     state = _as_state(rho)
     diag = np.real(np.diag(state.entries))
@@ -235,6 +272,10 @@ def coherent_input_output(alpha: complex, p: ChannelParams,
     dim=None, the smallest size whose tail bound is within 1e-10 (cap
     4096); an explicit dim must leave at most 1e-10 of the mass outside.
     The state is then passed through the kernel Hadamard product.
+
+    The output is not checked: the renormalized c c^H is a rank-one state
+    (unit trace to rounding, Hermitian to rounding, positive), and apply's
+    argument carries that through the kernel.
     """
     if dim is not None and dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
@@ -257,7 +298,7 @@ def coherent_input_output(alpha: complex, p: ChannelParams,
     c = np.exp(la - la.max() + 1j * np.angle(alpha) * np.arange(len(la)))
     c /= np.linalg.norm(c)
     K = kernel_matrix(p, len(c)).entries
-    return DensityMatrix(K * np.outer(c, c.conj()))
+    return _trusted(K * np.outer(c, c.conj()))
 
 
 def gaussian_decomposition(beta: complex, lambda_alg: float):

@@ -15,7 +15,10 @@ is within tolerance (_sized_log_amplitudes), or refused above a cap.
   lam = 0   K = exp(-(mu_n - mu_m)^2 / 2) = exp(-gamma (n-m)^2 / 2)
   lam > 0   K = sech^{2 nu}(tau_n - tau_m),  nu = omega/lam + 1/2
             (identical to [(1-t_n^2)(1-t_m^2)]^nu / (1-t_n t_m)^{2 nu}
-             with t = tanh tau, but immune to tanh saturating at 1.0)
+             with t = tanh tau, but immune to tanh saturating at 1.0),
+            evaluated as exp(-2 nu log1p(2 sinh^2(dt/2))), dt = tau_n - tau_m,
+            which has no cancellation: it tends to the lam = 0 Gaussian as
+            lam -> 0+ and its matrix is positive semidefinite to rounding
   lam < 0   K = D^T D, the Gram product of the table on the finite space;
             the closed-form power cos^{2 nu} is branch-ambiguous and never used.
 The lam >= 0 forms live in one helper (_closed_form), applied elementwise to
@@ -287,16 +290,26 @@ def coherent_vector(n: int, p: ChannelParams, env_dim: int | None = None,
 
 def _closed_form(K, y: float) -> np.ndarray:
     """lam >= 0 kernel from K = |mu_a - mu_b| (any shape), in place, so that
-    few dim x dim temporaries are alive at once.  y = 0 is the lam = 0 branch."""
+    few dim x dim temporaries are alive at once.  y = 0 is the lam = 0 branch.
+
+    lam > 0: K = exp(-2 nu log cosh dt), dt = sqrt(y) |mu_a - mu_b|, with
+    log cosh dt = log1p(2 sinh^2(dt/2)): no cancellation at any dt, so the
+    exponent keeps its relative accuracy as lam -> 0+ (2 nu ~ 1/y, dt^2 ~ y)
+    and the kernel tends to the lam = 0 Gaussian.  The former
+    dt + log1p(e^{-2 dt}) - log 2 cancelled there: its matrix had
+    eigenvalues down to -6.5e-8 at lam = 1e-8.  Where sinh overflows the
+    entry is exactly 0.
+    """
     if y == 0:
         K *= K
         K *= -0.5
     else:
-        K *= math.sqrt(y)
-        # 2 nu log sech(dt) = -2 nu (dt + log(1 + e^{-2 dt}) - log 2)
-        tail = np.exp(-2.0 * K)
-        K += np.log1p(tail, out=tail)
-        K -= math.log(2.0)
+        K *= 0.5 * math.sqrt(y)
+        with np.errstate(over="ignore"):
+            np.sinh(K, out=K)
+            K *= K
+            K *= 2.0
+        np.log1p(K, out=K)
         K *= -(1.0 / y + 1.0)
     return np.exp(K, out=K)
 
@@ -429,8 +442,9 @@ def kernel_map(lambdas, gammas, n: int, m: int, omega: float = 1.0):
 
     Rows follow grid order (lambda outer, gamma inner), and each K equals
     kernel_entry at its point.  Grid points where (n, m) exceed the lam<0
-    space are kept with valid=False and K = nan.  Errors are those of the
-    first invalid point in grid order, as if each point were built alone.
+    space are kept with valid=False and K = nan; a negative index is an
+    error in every row.  Errors are those of the first invalid point in grid
+    order, as if each point were built alone.
     """
     gammas = list(gammas)
     if not gammas:
@@ -442,7 +456,7 @@ def kernel_map(lambdas, gammas, n: int, m: int, omega: float = 1.0):
         p = ChannelParams(gamma=gammas[0], lam=lam_, omega=omega)
         bound = max_dimension(p)
         fits = bool(bound is None or (n < bound and m < bound))
-        if fits:
+        if fits or min(n, m) < 0:
             _check_index(np.array([n, m]), p)
         if bad.size:  # raises ChannelParams' error for the first bad gamma
             ChannelParams(gamma=gammas[bad[0]], lam=lam_, omega=omega)

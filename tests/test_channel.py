@@ -27,6 +27,7 @@ from kerrdeph import (
     verify_gaussian_decomposition,
     von_neumann_entropy,
 )
+import kerrdeph.channel as channel_module
 from conftest import (eigvalsh_verdict, random_density, random_pure,
                       spectrum_with_min, state_with_spectrum, verdict)
 
@@ -110,6 +111,53 @@ class TestPositivityCheck:
     def test_refusal_falls_back_to_eigvalsh(self):
         m = np.array([[1.2, 0.0], [0.0, -0.2]])
         assert verdict(m) == eigvalsh_verdict(m) == "min eigenvalue -2.000e-01 < -1e-10"
+
+
+class TestStatesAreCheckedOnce:
+    """apply and coherent_input_output build their outputs unchecked: the
+    checked input and a positive semidefinite kernel make them states."""
+
+    def test_uniform_pure_state_at_small_lambda(self):
+        """Refused as an output with eigenvalue -1.0e-9 while the lam > 0
+        kernel cancelled; now accepted, and the output is PSD to rounding."""
+        out = apply(np.ones((60, 60)) / 60, ChannelParams(gamma=0.01, lam=1e-8))
+        assert np.linalg.eigvalsh(out.entries).min() >= -1e-14
+        assert verdict(out.entries) is None
+
+    def test_each_state_is_checked_once(self, rng, monkeypatch):
+        """One positivity check per caller matrix, none per output."""
+        p = ChannelParams(gamma=1.0, lam=0.3)
+        rho = random_density(rng, 6)
+        calls = []
+        check = channel_module._certified_psd
+        monkeypatch.setattr(channel_module, "_certified_psd",
+                            lambda h: calls.append(h.shape) or check(h))
+        apply(rho.entries, p)
+        assert calls == [(6, 6)]
+        apply(rho, p)
+        coherent_input_output(1.2, p)
+        coherent_input_output(0.7, ChannelParams(gamma=1.0, lam=-0.1))
+        assert calls == [(6, 6)]
+        # its trace rests on the tail tolerance, so its output is checked
+        complementary_apply(rho, ChannelParams(gamma=1.0, lam=0.0))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("lam", [-0.1, -0.02, 0.0, 1e-10, 1e-8, 1e-4, 0.5])
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 4.0])
+    def test_outputs_pass_the_full_check(self, lam, gamma, rng):
+        """Ginibre, random pure, uniform and K's lowest eigenvector as inputs,
+        and coherent inputs, on all three branches."""
+        p = ChannelParams(gamma=gamma, lam=lam)
+        dim = 21 if lam == -0.1 else 40
+        V = np.linalg.eigh(kernel_matrix(p, dim).entries)[1]
+        inputs = [random_density(rng, dim), random_pure(rng, dim),
+                  DensityMatrix(np.ones((dim, dim)) / dim),
+                  DensityMatrix(np.outer(V[:, 0], V[:, 0]))]
+        outputs = [apply(rho, p) for rho in inputs]
+        outputs += [coherent_input_output(a, p) for a in (1.0, 2.5 - 1.0j)]
+        for out in outputs:
+            assert verdict(out.entries) is None
+            assert out.dim == len(out.entries)
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.3])

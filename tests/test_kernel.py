@@ -45,13 +45,14 @@ def test_frozen_oracle_value():
 
 @pytest.mark.parametrize("lam", [-0.5, -0.1, 0.0, 0.2, 1.0])
 def test_kernel_basic_invariants(lam):
-    """Diagonal is exactly one, K is symmetric, and |K| <= 1."""
+    """Diagonal is exactly one, K is exactly symmetric, and |K| <= 1: apply
+    returns its output unchecked on the strength of these."""
     p = ChannelParams(gamma=1.3, lam=lam, omega=1.0)
     dim = 5 if lam == -0.5 else 8
     K = kernel_matrix(p, dim).entries
     np.testing.assert_array_equal(np.diag(K), np.ones(dim))
-    np.testing.assert_allclose(K, K.T, atol=1e-15)
-    assert np.max(np.abs(K)) <= 1 + 1e-15
+    np.testing.assert_array_equal(K, K.T)
+    assert np.max(np.abs(K)) <= 1.0
 
 
 def test_zero_gamma_is_identity_channel():
@@ -267,13 +268,15 @@ def test_kernel_map_of_an_empty_grid_is_empty():
     ([0.0], [np.nan], 0, "gamma must be finite and >= 0, got nan"),
     ([0.3, 0.5], [1.0, -1.0], -1, "Fock index must be >= 0, got -1"),
     ([0.3], np.array([-1.0, 2.0]), -1, "gamma must be finite and >= 0, got -1.0"),
-    ([-0.5], [1.0, -2.0], -1, "gamma must be finite and >= 0, got -2.0"),
+    ([-0.5], [-2.0, 1.0], -1, "gamma must be finite and >= 0, got -2.0"),
+    ([-0.5], [1.0, -2.0], -1, "Fock index must be >= 0, got -1"),
 ])
 def test_kernel_map_raises_at_the_first_invalid_point(lambdas, gammas, n, message):
     """The first invalid point in grid order decides the error, as if every
     point were built on its own: a gamma before the index at the first gamma
-    of a row, the index before any later gamma.  Past the lam<0 space (pair
-    (-1, 7) at lam = -0.5) the index is not checked, the gammas still are."""
+    of a row, the index before any later gamma.  A negative index is refused
+    in every row, also where the pair (-1, 7) lies past the lam<0 space
+    (lam = -0.5, dim 5), as kernel_entry refuses it."""
     with pytest.raises(DomainError) as info:
         kernel_map(lambdas, gammas, n, 7)
     assert str(info.value) == message
@@ -293,3 +296,38 @@ def test_kernel_map_table_memory_is_bounded(lam, m):
         tracemalloc.stop()
     assert all(r.valid for r in rows)
     assert peak <= 32 * 2**20
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e-8, 1e-6, 1e-4, 0.02, 0.5])
+@pytest.mark.parametrize("gamma", [0.01, 1.0])
+@pytest.mark.parametrize("dim", [40, 100])
+def test_positive_kernel_is_positive_semidefinite(lam, gamma, dim):
+    """Exactly symmetric, exactly unit diagonal, and PSD to rounding: apply
+    relies on this to skip the check of its output.  The cancelling form
+    had eigenvalues down to -6.5e-8 at lam = 1e-8."""
+    K = kernel_matrix(ChannelParams(gamma=gamma, lam=lam), dim).entries
+    np.testing.assert_array_equal(K, K.T)
+    np.testing.assert_array_equal(np.diag(K), np.ones(dim))
+    assert np.linalg.eigvalsh(K).min() >= -1e-13
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-7, 1e-10])
+@pytest.mark.parametrize("gamma", [0.01, 1.0])
+def test_small_positive_lambda_matches_oracle(lam, gamma):
+    """kernel_entry against the dilation at test_02's tolerance, on the pairs
+    n < m < 8 the oracle certifies (the cancelling form was 1.8e-6 off)."""
+    p = ChannelParams(gamma=gamma, lam=lam)
+    pairs = [(n, m) for n in range(8) for m in range(n + 1, 8)]
+    cells = kernel_oracle_table(pairs, p)
+    assert all(cell.converged for cell in cells)
+    worst = max(abs(kernel_entry(n, m, p) - cell.value)
+                for (n, m), cell in zip(pairs, cells))
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1e-16, 1e-300])
+def test_kernel_is_continuous_into_zero_lambda(lam):
+    """lam -> 0+ reaches the lam = 0 Gaussian; the cancelling form returned
+    exactly 1 (no dephasing) at lam = 1e-16."""
+    flat = kernel_entry(0, 1, ChannelParams(gamma=1.0, lam=0.0))
+    assert abs(kernel_entry(0, 1, ChannelParams(gamma=1.0, lam=lam)) - flat) <= 1e-12
