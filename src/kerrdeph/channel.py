@@ -72,6 +72,29 @@ def _certified_psd(h: np.ndarray) -> bool:
     return True
 
 
+def _check_state(entries: np.ndarray) -> None:
+    """Raise InvalidStateError unless entries keeps DensityMatrix's invariants."""
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
+        raise InvalidStateError(
+            f"state must be square and non-empty, got shape {entries.shape}")
+    bad = int(entries.size - np.count_nonzero(np.isfinite(entries)))
+    if bad:
+        raise InvalidStateError(f"state has {bad} non-finite entries")
+    adjoint = entries.conj().T
+    herm = float(np.abs(entries - adjoint).max())
+    if herm > 1e-12:
+        raise InvalidStateError(f"Hermiticity residual {herm:.3e} > 1e-12")
+    tr = float(abs(entries.trace().real - 1.0) + abs(entries.trace().imag))
+    if tr > 1e-12:
+        raise InvalidStateError(f"trace residual {tr:.3e} > 1e-12")
+    h = (entries + adjoint) / 2.0
+    del adjoint  # not held through the factorization: one matrix less at peak
+    if not _certified_psd(h):
+        lo = float(np.linalg.eigvalsh(h).min())
+        if lo < -1e-10:
+            raise InvalidStateError(f"min eigenvalue {lo:.3e} < -1e-10")
+
+
 class DensityMatrix:
     """Complex Fock-basis matrix validated as a physical state.
 
@@ -88,35 +111,23 @@ class DensityMatrix:
     the smallest eigenvalue is computed with eigvalsh and compared with
     -1e-10 as before, so every refusal and its message are unchanged.
 
-    Every matrix a caller hands in is checked.  The outputs of apply and
-    coherent_input_output are built by _trusted instead, with no check,
-    because they are states by construction (see apply).  A DensityMatrix is
-    treated as immutable: editing .entries in place voids its invariants.
+    Every matrix a caller hands in is checked, then copied if the caller
+    still holds its memory.  The outputs the package builds go through
+    _trusted instead, without a copy: complementary_apply's after the same
+    check, apply's and coherent_input_output's with none, because they are
+    states by construction (see apply).  Either way .entries is read-only,
+    so a checked state cannot be edited afterwards.
     """
 
     __slots__ = ("dim", "entries")
 
     def __init__(self, entries):
+        source = entries
         entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
-            raise InvalidStateError(
-                f"state must be square and non-empty, got shape {entries.shape}")
-        bad = int(entries.size - np.count_nonzero(np.isfinite(entries)))
-        if bad:
-            raise InvalidStateError(f"state has {bad} non-finite entries")
-        adjoint = entries.conj().T
-        herm = float(np.abs(entries - adjoint).max())
-        if herm > 1e-12:
-            raise InvalidStateError(f"Hermiticity residual {herm:.3e} > 1e-12")
-        tr = float(abs(entries.trace().real - 1.0) + abs(entries.trace().imag))
-        if tr > 1e-12:
-            raise InvalidStateError(f"trace residual {tr:.3e} > 1e-12")
-        h = (entries + adjoint) / 2.0
-        del adjoint  # not held through the factorization: one matrix less at peak
-        if not _certified_psd(h):
-            lo = float(np.linalg.eigvalsh(h).min())
-            if lo < -1e-10:
-                raise InvalidStateError(f"min eigenvalue {lo:.3e} < -1e-10")
+        _check_state(entries)
+        if entries is source or entries.base is not None:
+            entries = entries.copy()  # the caller's memory
+        entries.flags.writeable = False
         self.dim = entries.shape[0]
         self.entries = entries
 
@@ -125,12 +136,14 @@ class DensityMatrix:
 
 
 def _trusted(entries: np.ndarray) -> DensityMatrix:
-    """A DensityMatrix of entries the package built as a state, unchecked.
+    """A DensityMatrix of a complex array the package built, neither checked
+    nor copied.
 
-    Only for outputs whose invariants follow from a checked input, as argued
-    in apply and coherent_input_output; caller input goes through
-    DensityMatrix.
+    Only for outputs that were checked with _check_state or whose invariants
+    follow from a checked input, as argued in apply and coherent_input_output;
+    caller input goes through DensityMatrix.
     """
+    entries.flags.writeable = False
     state = DensityMatrix.__new__(DensityMatrix)
     state.dim = entries.shape[0]
     state.entries = entries
@@ -177,7 +190,9 @@ def apply(rho, p: ChannelParams) -> DensityMatrix:
       Measured up to dim 400, delta <= 7e-15 at gamma >= 0.01 on the lam >= 0
       branches and <= 1.4e-13 everywhere (lam < 0 Gram products, and gamma
       <= 1e-4 where K is nearly the all-ones matrix), below _certified_psd's
-      own rounding margin (1.4e-12 at dim 400).
+      own rounding margin (1.4e-12 at dim 400).  So the -1e-10 bound carries
+      over up to that term, not exactly: an input within delta max h_ii of
+      -1e-10 can give an output just past it.
     The lam > 0 part rests on the closed form being free of cancellation
     (see kernel._closed_form).
     """
@@ -198,7 +213,9 @@ def complementary_apply(rho, p: ChannelParams, env_dim: int | None = None,
     state = _as_state(rho)
     diag = np.real(np.diag(state.entries))
     X, _ = _coherent_table(p, np.arange(state.dim), env_dim, tail_tol)
-    return DensityMatrix((X * diag) @ X.conj().T)
+    out = (X * diag) @ X.conj().T
+    _check_state(out)
+    return _trusted(out)
 
 
 def complementary_spectrum(pvec, p: ChannelParams) -> np.ndarray:

@@ -16,9 +16,7 @@ is within tolerance (_sized_log_amplitudes), or refused above a cap.
   lam > 0   K = sech^{2 nu}(tau_n - tau_m),  nu = omega/lam + 1/2
             (identical to [(1-t_n^2)(1-t_m^2)]^nu / (1-t_n t_m)^{2 nu}
              with t = tanh tau, but immune to tanh saturating at 1.0),
-            evaluated as exp(-2 nu log1p(2 sinh^2(dt/2))), dt = tau_n - tau_m,
-            which has no cancellation: it tends to the lam = 0 Gaussian as
-            lam -> 0+ and its matrix is positive semidefinite to rounding
+            evaluated as exp(-2 nu log1p(2 sinh^2(dt/2))), dt = tau_n - tau_m
   lam < 0   K = D^T D, the Gram product of the table on the finite space;
             the closed-form power cos^{2 nu} is branch-ambiguous and never used.
 The lam >= 0 forms live in one helper (_closed_form), applied elementwise to
@@ -295,10 +293,9 @@ def _closed_form(K, y: float) -> np.ndarray:
     lam > 0: K = exp(-2 nu log cosh dt), dt = sqrt(y) |mu_a - mu_b|, with
     log cosh dt = log1p(2 sinh^2(dt/2)): no cancellation at any dt, so the
     exponent keeps its relative accuracy as lam -> 0+ (2 nu ~ 1/y, dt^2 ~ y)
-    and the kernel tends to the lam = 0 Gaussian.  The former
-    dt + log1p(e^{-2 dt}) - log 2 cancelled there: its matrix had
-    eigenvalues down to -6.5e-8 at lam = 1e-8.  Where sinh overflows the
-    entry is exactly 0.
+    and the kernel tends to the lam = 0 Gaussian; its matrix is positive
+    semidefinite to rounding, which apply relies on.  Where sinh overflows
+    the entry is exactly 0.
     """
     if y == 0:
         K *= K

@@ -142,6 +142,19 @@ class TestStatesAreCheckedOnce:
         complementary_apply(rho, ChannelParams(gamma=1.0, lam=0.0))
         assert len(calls) == 2
 
+    def test_checked_entries_cannot_change(self, rng):
+        """A state owns read-only entries: editing the caller's matrix after
+        the check, or the state's own, cannot void an unchecked output."""
+        p = ChannelParams(gamma=1.0, lam=0.3)
+        a = random_density(rng, 5).entries.copy()
+        rho = DensityMatrix(a)
+        a[0, 0] = 7.0
+        assert rho.entries[0, 0] != 7.0
+        env = complementary_apply(rho, ChannelParams(gamma=1.0, lam=0.0))
+        for state in (rho, apply(rho, p), coherent_input_output(1.2, p), env):
+            with pytest.raises(ValueError):
+                state.entries[0, 0] = 7.0
+
     @pytest.mark.parametrize("lam", [-0.1, -0.02, 0.0, 1e-10, 1e-8, 1e-4, 0.5])
     @pytest.mark.parametrize("gamma", [0.01, 1.0, 4.0])
     def test_outputs_pass_the_full_check(self, lam, gamma, rng):

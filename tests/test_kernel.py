@@ -270,13 +270,15 @@ def test_kernel_map_of_an_empty_grid_is_empty():
     ([0.3], np.array([-1.0, 2.0]), -1, "gamma must be finite and >= 0, got -1.0"),
     ([-0.5], [-2.0, 1.0], -1, "gamma must be finite and >= 0, got -2.0"),
     ([-0.5], [1.0, -2.0], -1, "Fock index must be >= 0, got -1"),
+    ([-0.5], [1.0, -2.0], 0, "gamma must be finite and >= 0, got -2.0"),
 ])
 def test_kernel_map_raises_at_the_first_invalid_point(lambdas, gammas, n, message):
     """The first invalid point in grid order decides the error, as if every
     point were built on its own: a gamma before the index at the first gamma
-    of a row, the index before any later gamma.  A negative index is refused
-    in every row, also where the pair (-1, 7) lies past the lam<0 space
-    (lam = -0.5, dim 5), as kernel_entry refuses it."""
+    of a row, the index before any later gamma.  Past the lam<0 space (pair
+    (0, 7) at lam = -0.5, dim 5) the pair is not an error, the gammas still
+    are.  A negative index is refused in every row, also past that space, as
+    kernel_entry refuses it."""
     with pytest.raises(DomainError) as info:
         kernel_map(lambdas, gammas, n, 7)
     assert str(info.value) == message
@@ -314,15 +316,16 @@ def test_positive_kernel_is_positive_semidefinite(lam, gamma, dim):
 @pytest.mark.parametrize("lam", [1e-4, 1e-7, 1e-10])
 @pytest.mark.parametrize("gamma", [0.01, 1.0])
 def test_small_positive_lambda_matches_oracle(lam, gamma):
-    """kernel_entry against the dilation at test_02's tolerance, on the pairs
-    n < m < 8 the oracle certifies (the cancelling form was 1.8e-6 off)."""
+    """kernel_entry against the dilation on the pairs n < m < 8 the oracle
+    certifies, to 1e-12 rather than test_02's 1e-6: the closed form is
+    within 1.2e-15 here, the cancelling form was 1.8e-6 off."""
     p = ChannelParams(gamma=gamma, lam=lam)
     pairs = [(n, m) for n in range(8) for m in range(n + 1, 8)]
     cells = kernel_oracle_table(pairs, p)
     assert all(cell.converged for cell in cells)
     worst = max(abs(kernel_entry(n, m, p) - cell.value)
                 for (n, m), cell in zip(pairs, cells))
-    assert worst < 1e-6
+    assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [1e-13, 1e-16, 1e-300])
