@@ -93,15 +93,8 @@ class TruncatedOperator:
 
 def deformation_factor(n: int, p: ChannelParams) -> float:
     """f(n) = sqrt(1 + y n), the Kerr deformation of the ladder weight."""
-    if n < 0:
-        raise DomainError(f"Fock index must be >= 0, got {n}")
-    f2 = 1.0 + p.y * n
-    if f2 < 0:
-        raise DomainError(
-            f"f(n)^2 = 1 + y n = {f2:.6g} < 0 at n={n}: "
-            f"index exceeds the lam<0 bound 2*omega/|lam| = {2 * p.omega / abs(p.lam):.6g}"
-        )
-    return float(np.sqrt(f2))
+    _check_index(n, p)
+    return float(np.sqrt(max(1.0 + p.y * n, 0.0)))  # the boundary state gives 0
 
 
 def max_dimension(p: ChannelParams):
@@ -124,15 +117,33 @@ def max_dimension(p: ChannelParams):
     return n_max + 1
 
 
-def _check_dim(p: ChannelParams, dim: int) -> None:
+def _check_dim(p: ChannelParams, dim: int, name: str = "dim") -> None:
+    """Raise DimensionError unless 1 <= dim <= the lam<0 space."""
     if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
+        raise DimensionError(f"{name} must be >= 1, got {dim}")
     bound = max_dimension(p)
     if bound is not None and dim > bound:
+        raise DimensionError(f"{name} {dim} exceeds the lam<0 space (dim {bound})")
+
+
+def _check_index(n, p: ChannelParams) -> None:
+    """Raise unless every Fock index in n (a scalar or an array) is physical."""
+    if np.min(n) < 0:
+        raise DomainError(f"Fock index must be >= 0, got {np.min(n)}")
+    bound = max_dimension(p)
+    if bound is not None and np.max(n) >= bound:
         raise DimensionError(
-            f"dim {dim} exceeds the lam<0 bound {bound} "
-            f"(lam={p.lam}, omega={p.omega})"
+            f"Fock index {np.max(n)} exceeds the lam<0 space (dim {bound})"
         )
+
+
+def _fit_dim(p: ChannelParams, requested):
+    """requested cut to the lam<0 space; None asks for the whole space (None
+    again for lam >= 0, where the space is unbounded)."""
+    bound = max_dimension(p)
+    if bound is None:
+        return requested
+    return bound if requested is None else min(requested, bound)
 
 
 def build_annihilator(p: ChannelParams, dim: int) -> TruncatedOperator:

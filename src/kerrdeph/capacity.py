@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ChannelParams
+from .algebra import ChannelParams, _check_index
 from .errors import DimensionError, DomainError, InvalidStateError
-from .kernel import _check_index, _kernel_from_mu, mu
+from .kernel import _kernel_from_mu, mu
 from ._parallel import parallel_map
 
 __all__ = [

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import (ChannelParams, build_annihilator, build_k0,
-                      max_dimension)
+from .algebra import (ChannelParams, _check_dim, _fit_dim, build_annihilator,
+                      build_k0, max_dimension)
 from .errors import (DimensionError, DomainError, InvalidStateError,
                      SingularityError, TruncationError)
 from .kernel import (_coherent_table, _log_amplitudes, _sized_log_amplitudes,
@@ -112,11 +112,11 @@ class DensityMatrix:
     -1e-10 as before, so every refusal and its message are unchanged.
 
     Every matrix a caller hands in is checked, then copied if the caller
-    still holds its memory.  The outputs the package builds go through
-    _trusted instead, without a copy: complementary_apply's after the same
-    check, apply's and coherent_input_output's with none, because they are
-    states by construction (see apply).  Either way .entries is read-only,
-    so a checked state cannot be edited afterwards.
+    still holds its memory.  The states the package builds go through
+    _trusted instead, without a copy: complementary_apply's output after
+    the same check, apply's output and coherent_input_output's input with
+    none, because they are states by construction (see apply).  Either way
+    .entries is read-only, so a checked state cannot be edited afterwards.
     """
 
     __slots__ = ("dim", "entries")
@@ -139,19 +139,15 @@ def _trusted(entries: np.ndarray) -> DensityMatrix:
     """A DensityMatrix of a complex array the package built, neither checked
     nor copied.
 
-    Only for outputs that were checked with _check_state or whose invariants
-    follow from a checked input, as argued in apply and coherent_input_output;
-    caller input goes through DensityMatrix.
+    Only for states that were checked with _check_state or are states by
+    construction, as argued in apply and coherent_input_output; caller input
+    goes through DensityMatrix.
     """
     entries.flags.writeable = False
     state = DensityMatrix.__new__(DensityMatrix)
     state.dim = entries.shape[0]
     state.entries = entries
     return state
-
-
-def _entries(rho) -> np.ndarray:
-    return np.asarray(getattr(rho, "entries", rho), dtype=complex)
 
 
 def _as_state(rho) -> DensityMatrix:
@@ -254,15 +250,11 @@ def kraus_set(p: ChannelParams, dim: int, env_dim: int | None = None) -> KrausSe
     TruncationError when the completeness residual max_n |1 - sum_l
     (K_l)_nn^2| is >= 1e-8, which only a short explicit env_dim reaches.
     """
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
+    _check_dim(p, dim)
     if env_dim is not None and env_dim < 1:
         raise DimensionError(f"env_dim must be >= 1, got {env_dim}")
-    bound = max_dimension(p)
-    if bound is not None and dim > bound:
-        raise DimensionError(f"dim {dim} exceeds the lam<0 space (dim {bound})")
     if p.lam < 0:
-        D = _amp_table(p, dim, bound)
+        D = _amp_table(p, dim, max_dimension(p))
     elif env_dim is None:
         w, V = np.linalg.eigh(kernel_matrix(p, dim).entries)
         keep = w > dim * np.finfo(float).eps * w.max()
@@ -285,37 +277,30 @@ def coherent_input_output(alpha: complex, p: ChannelParams,
     """Channel output on a coherent-state input |alpha><alpha|.
 
     The input's Poisson amplitudes are cut at a size and renormalized:
-    lam < 0, the forced finite space (or dim, if smaller); lam >= 0 and
-    dim=None, the smallest size whose tail bound is within 1e-10 (cap
-    4096); an explicit dim must leave at most 1e-10 of the mass outside.
-    The state is then passed through the kernel Hadamard product.
+    lam < 0, the forced finite space (or dim, if smaller); lam >= 0, the
+    size _sized_log_amplitudes certifies against the tail bound 1e-10:
+    dim=None takes the smallest such size (cap 4096), an explicit dim is
+    refused with TruncationError when its bound exceeds 1e-10.  The state
+    is then passed through apply.
 
-    The output is not checked: the renormalized c c^H is a rank-one state
-    (unit trace to rounding, Hermitian to rounding, positive), and apply's
-    argument carries that through the kernel.
+    The input is not checked: the renormalized c c^H is a rank-one state
+    (unit trace to rounding, Hermitian to rounding, positive), and apply
+    does not check its output (see apply).
     """
     if dim is not None and dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     alpha = complex(alpha)
     r = abs(alpha)
-    bound = max_dimension(p)
-    if bound is None and dim is None:
-        la, _ = _sized_log_amplitudes(0.0, [r], 1e-10, 4096, None, f"|alpha|={r:.3g}")
+    d = _fit_dim(p, dim)
+    if p.lam < 0:
+        la = _log_amplitudes(0.0, [r], d)
     else:
-        d = min(x for x in (dim, bound) if x is not None)
-        la = _log_amplitudes(0.0, [r], np.arange(d))
+        la, _ = _sized_log_amplitudes(0.0, [r], 1e-10, 4096, d, f"|alpha|={r:.3g}")
     la = la[:, 0]
-    if bound is None and dim is not None:
-        tail = 1.0 - float(np.sum(np.exp(2.0 * la)))
-        if tail > 1e-10:
-            raise TruncationError(
-                f"coherent tail {tail:.3e} > 1e-10 at dim {dim} (|alpha|={r:.3g})"
-            )
     # scaled by the largest amplitude first, so that no projection underflows
     c = np.exp(la - la.max() + 1j * np.angle(alpha) * np.arange(len(la)))
     c /= np.linalg.norm(c)
-    K = kernel_matrix(p, len(c)).entries
-    return _trusted(K * np.outer(c, c.conj()))
+    return apply(_trusted(np.outer(c, c.conj())), p)
 
 
 def gaussian_decomposition(beta: complex, lambda_alg: float):

@@ -9,9 +9,12 @@ states |c_n> = exp(-i mu_n (B + B^dag)) |0> with displacement magnitude
 All amplitudes come from one real table D[k, n] (amplitude_table), whose
 k-only terms (gammaln, binomials) are computed once per row and broadcast;
 coherent_vector is a column of it times (-i)^k, the lam < 0 Kraus family
-the table.  Truncated lam >= 0 columns, and coherent inputs (the same builder
-at y = 0), are sized once: at the smallest size whose geometric tail bound
-is within tolerance (_sized_log_amplitudes), or refused above a cap.
+the table.  At lam > 0 no term cancels as lam -> 0+ (_log_amplitudes).
+Truncated lam >= 0 columns, and coherent inputs (the same builder at y = 0),
+are sized once: at the smallest size whose geometric tail bound is within
+tolerance (_sized_log_amplitudes), or refused above a cap.  Which Fock
+indices and sizes the lam < 0 space admits is decided in algebra
+(_check_index, _check_dim, _fit_dim).
   lam = 0   K = exp(-(mu_n - mu_m)^2 / 2) = exp(-gamma (n-m)^2 / 2)
   lam > 0   K = sech^{2 nu}(tau_n - tau_m),  nu = omega/lam + 1/2
             (identical to [(1-t_n^2)(1-t_m^2)]^nu / (1-t_n t_m)^{2 nu}
@@ -40,8 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .algebra import ChannelParams, max_dimension
-from .errors import DimensionError, DivergenceError, DomainError, TruncationError
+from .algebra import (ChannelParams, _check_dim, _check_index, _fit_dim,
+                      max_dimension)
+from .errors import DivergenceError, DomainError, TruncationError
 
 __all__ = [
     "KernelMatrix",
@@ -97,17 +101,6 @@ def tau(n: int, p: ChannelParams) -> float:
     return math.sqrt(abs(p.y)) * mu(n, p)
 
 
-def _check_index(n, p: ChannelParams) -> None:
-    """Raise unless every Fock index in n (a scalar or an array) is physical."""
-    if np.min(n) < 0:
-        raise DomainError(f"Fock index must be >= 0, got {np.min(n)}")
-    bound = max_dimension(p)
-    if bound is not None and np.max(n) >= bound:
-        raise DimensionError(
-            f"Fock index {np.max(n)} exceeds the lam<0 space (dim {bound})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # the amplitude table (all three regimes)
 # ---------------------------------------------------------------------------
@@ -120,11 +113,18 @@ def _pow_log(e, x):
     return out
 
 
-def _log_amplitudes(y: float, mus, ks) -> np.ndarray:
+def _log_amplitudes(y: float, mus, L: int) -> np.ndarray:
     """lam >= 0: log amplitudes [k, j] of the normalized expansion at
-    y = lam/(2 omega), over levels ks (rows) and displacement magnitudes mus
-    (columns).  y = 0 gives the Poisson amplitudes of a coherent state."""
-    ks = np.asarray(ks, dtype=float)[:, None]
+    y = lam/(2 omega), over levels k < L (rows) and displacement magnitudes
+    mus (columns).  y = 0 gives the Poisson amplitudes of a coherent state.
+
+    y > 0: k log tanh tau - 2 nu log cosh tau + (log (2 nu)_k - log k!)/2,
+    free of cancellation as y -> 0+ (2 nu ~ 1/y): log cosh tau is
+    log1p(2 sinh^2(tau/2)) (-inf where sinh overflows, an amplitude of 0),
+    and the rising factorial log (2 nu)_k = gammaln(2 nu + k) - gammaln(2 nu)
+    is k log 2 nu + sum_{j<k} log1p(j / 2 nu), a running sum over the levels.
+    """
+    ks = np.arange(L, dtype=float)[:, None]
     mus = np.asarray(mus, dtype=float)
     if y == 0:
         out = _pow_log(ks, mus)
@@ -133,23 +133,23 @@ def _log_amplitudes(y: float, mus, ks) -> np.ndarray:
         return out
     two_nu = 1.0 / y + 1.0
     taus = math.sqrt(y) * mus
+    rising = np.zeros_like(ks)
+    np.cumsum(np.log1p(ks[:-1] / two_nu), axis=0, out=rising[1:])
+    rising += ks * math.log(two_nu)
     out = _pow_log(ks, np.tanh(taus))
-    # nu log(1-t^2) = 2 nu log(sech tau), computed saturation-free
-    out += two_nu * (math.log(2.0) - taus - np.log1p(np.exp(-2.0 * taus)))
-    out += 0.5 * (gammaln(two_nu + ks) - gammaln(two_nu) - gammaln(ks + 1))
+    with np.errstate(over="ignore"):
+        out -= two_nu * np.log1p(2.0 * np.sinh(0.5 * taus) ** 2)
+    out += 0.5 * (rising - gammaln(ks + 1))
     return out
 
 
 def _amplitudes(p: ChannelParams, mus, ks) -> np.ndarray:
-    """Real amplitude table D[k, j] over levels ks and displacements mus.
+    """lam < 0: real amplitude table D[k, j] over levels ks and displacements mus.
 
-    The (-i)^k phase is left out.  lam < 0: magnitude cos^{2nu-k}(tau)
-    sin^k(tau) sqrt(binom(2nu, k)) with sign sign(sin)^k
-    sign(cos)^(round(2nu)-k), each column normalized over ks.
+    The (-i)^k phase is left out.  Magnitude cos^{2nu-k}(tau) sin^k(tau)
+    sqrt(binom(2nu, k)) with sign sign(sin)^k sign(cos)^(round(2nu)-k), each
+    column normalized over ks.
     """
-    if p.lam >= 0:
-        D = _log_amplitudes(p.y, mus, ks)
-        return np.exp(D, out=D)
     two_nu = 1.0 / abs(p.y) - 1.0
     ks = np.asarray(ks)[:, None]
     taus = math.sqrt(-p.y) * np.asarray(mus, dtype=float)
@@ -177,7 +177,10 @@ def amplitude_table(p: ChannelParams, ns, L: int) -> np.ndarray:
     """
     ns = np.asarray(ns)
     _check_index(ns, p)
-    return _amplitudes(p, mu(ns, p), np.arange(L))
+    if p.lam < 0:
+        return _amplitudes(p, mu(ns, p), np.arange(L))
+    D = _log_amplitudes(p.y, mu(ns, p), L)
+    return np.exp(D, out=D)
 
 
 def _neg_rows(taus, p: ChannelParams, d: int) -> np.ndarray:
@@ -218,7 +221,7 @@ def _sized_log_amplitudes(y: float, mus, tol: float, cap: int, dim: int | None,
     """
     mus = np.asarray(mus, dtype=float)
     ks = np.arange(cap if dim is None else dim, dtype=float)[:, None]
-    la = _log_amplitudes(y, mus, ks[:, 0])
+    la = _log_amplitudes(y, mus, len(ks))
     if y == 0:
         r = mus**2 / (ks + 1.0)
     else:
@@ -242,7 +245,7 @@ def _sized_log_amplitudes(y: float, mus, tol: float, cap: int, dim: int | None,
         d = dim
         if tails[-1] > tol:
             raise TruncationError(
-                f"env_dim {dim} leaves tail bound {tails[-1]:.3e} > {tol:.1e} ({what})"
+                f"dim {dim} leaves tail bound {tails[-1]:.3e} > {tol:.1e} ({what})"
             )
     return la[:d], float(tails[d - 1])
 
@@ -259,8 +262,8 @@ def _coherent_table(p: ChannelParams, ns, env_dim: int | None,
     if p.lam < 0:
         X, tb = amplitude_table(p, ns, max_dimension(p)), 0.0
     else:
-        if env_dim is not None and env_dim < 1:
-            raise DimensionError(f"env_dim must be >= 1, got {env_dim}")
+        if env_dim is not None:
+            _check_dim(p, env_dim, "env_dim")
         what = f"n={ns.max()}, gamma={p.gamma}, lam={p.lam}"
         la, tb = _sized_log_amplitudes(p.y, mu(ns, p), tail_tol, ENV_DIM_CAP,
                                        env_dim, what)
@@ -338,13 +341,7 @@ def kernel_entry(n: int, m: int, p: ChannelParams) -> float:
 
 def kernel_matrix(p: ChannelParams, dim: int) -> KernelMatrix:
     """Assemble K_{n,m} for n,m < dim; raises for lam<0 dimension overflow."""
-    if dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
-    bound = max_dimension(p)
-    if bound is not None and dim > bound:
-        raise DimensionError(
-            f"dim {dim} exceeds the lam<0 space (dim {bound})"
-        )
+    _check_dim(p, dim)
     K = _kernel_from_mu(mu(np.arange(dim), p), p)
     np.clip(K, -1.0, 1.0, out=K)
     return KernelMatrix(dim=dim, entries=K)
@@ -451,9 +448,9 @@ def kernel_map(lambdas, gammas, n: int, m: int, omega: float = 1.0):
     rows = []
     for lam_ in lambdas:
         p = ChannelParams(gamma=gammas[0], lam=lam_, omega=omega)
-        bound = max_dimension(p)
-        fits = bool(bound is None or (n < bound and m < bound))
-        if fits or min(n, m) < 0:
+        top = max(n, m) + 1
+        fits = _fit_dim(p, top) == top  # (n, m) lie in the lam<0 space
+        if min(n, m) < 0:
             _check_index(np.array([n, m]), p)
         if bad.size:  # raises ChannelParams' error for the first bad gamma
             ChannelParams(gamma=gammas[bad[0]], lam=lam_, omega=omega)

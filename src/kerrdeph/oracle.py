@@ -50,8 +50,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .algebra import ChannelParams, max_dimension
-from .errors import ConvergenceError, DimensionError, DomainError
+from .algebra import (ChannelParams, _check_dim, _check_index, _fit_dim,
+                      max_dimension)
+from .errors import ConvergenceError, DimensionError
 from .kernel import CoherentVector, mu
 
 __all__ = [
@@ -116,10 +117,8 @@ def _env_dim_for(p: ChannelParams, requested: int | None) -> int:
     """Forced finite dimension for lam<0, else the requested/cap value."""
     if requested is not None and requested < 1:
         raise DimensionError(f"dim_e must be >= 1, got {requested}")
-    bound = max_dimension(p)
-    if bound is not None:
-        return bound if requested is None else min(requested, bound)
-    return ENV_CAP if requested is None else requested
+    d = _fit_dim(p, requested)
+    return ENV_CAP if d is None else d
 
 
 def _couplings(y: float, dim_e: int) -> np.ndarray:
@@ -252,16 +251,11 @@ def _ladder(p: ChannelParams, indices, dim_e: int | None, tol: float, evaluate,
     The Fock indices and dim_e are checked before any eigensystem is built.
     """
     indices = np.asarray(indices)
-    bound = max_dimension(p)
-    if indices.size and indices.min() < 0:
-        raise DomainError(f"Fock index must be >= 0, got {indices.min()}")
-    if bound is not None and indices.size and indices.max() >= bound:
-        raise DimensionError(
-            f"Fock index {indices.max()} exceeds the lam<0 space (dim {bound})"
-        )
+    if indices.size:
+        _check_index(indices, p)
     cap = _env_dim_for(p, dim_e)
 
-    if cap == bound:
+    if cap == max_dimension(p):
         out = evaluate(cap)
         yield cap, None, out, np.zeros(out.shape), np.ones(out.shape, dtype=bool)
         return
@@ -289,13 +283,8 @@ def _block(theta: np.ndarray, W: np.ndarray, mu_n: float) -> np.ndarray:
 
 def build_unitary(p: ChannelParams, dim_s: int, dim_e: int) -> UnitaryDilation:
     """Assemble the dense dim_s*dim_e unitary and report its unitarity residual."""
-    if dim_s < 1 or dim_e < 1:
-        raise DimensionError(f"dims must be >= 1, got ({dim_s}, {dim_e})")
-    bound = max_dimension(p)
-    if bound is not None and (dim_s > bound or dim_e > bound):
-        raise DimensionError(
-            f"dims ({dim_s}, {dim_e}) exceed the lam<0 space (dim {bound})"
-        )
+    _check_dim(p, dim_s, "dim_s")
+    _check_dim(p, dim_e, "dim_e")
     if dim_s * dim_e > SIZE_CAP:
         raise DimensionError(
             f"dim_s*dim_e = {dim_s * dim_e} exceeds the size cap {SIZE_CAP}"

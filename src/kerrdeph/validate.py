@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel
-from .algebra import (ChannelParams, build_annihilator, build_creator,
-                      build_k0, hamiltonian_identity_residual, max_dimension)
+from .algebra import (ChannelParams, _fit_dim, build_annihilator,
+                      build_creator, build_k0, hamiltonian_identity_residual)
 from .errors import SingularityError
 from .kernel import kernel_entry, kernel_matrix
 from .oracle import kernel_oracle_table
@@ -100,17 +100,12 @@ class ValidationReport:
         return json.dumps(payload, indent=2)
 
 
-def _dim_for(p: ChannelParams, requested: int) -> int:
-    bound = max_dimension(p)
-    return requested if bound is None else min(requested, bound)
-
-
 def _commutator_suite(max_dim: int, tol: float) -> SuiteResult:
     out = SuiteResult("commutators", tol)
     d = max(max_dim, 4) + 2
     for lam in (-1.0, -0.5, -0.2, 0.0, 0.3, 1.0):
         p = ChannelParams(gamma=1.0, lam=lam)
-        dd = _dim_for(p, d)
+        dd = _fit_dim(p, d)
         a = build_annihilator(p, dd).entries
         ad = build_creator(p, dd).entries
         k0 = build_k0(p, dd).entries
@@ -131,10 +126,8 @@ def _kernel_oracle_suite(max_dim: int, tol: float) -> SuiteResult:
     for lam in (-0.5, -0.1, 0.1, 0.5):
         for gamma in (0.1, 1.0):
             p = ChannelParams(gamma=gamma, lam=lam)
-            bound = max_dimension(p)
-            keep = pairs if bound is None else [
-                (n, m) for (n, m) in pairs if m < bound
-            ]
+            top = _fit_dim(p, max_dim)
+            keep = [(n, m) for (n, m) in pairs if m < top]
             if not keep:
                 continue
             values = kernel_oracle_table(keep, p)
@@ -161,7 +154,7 @@ def _kraus_suite(max_dim: int, tol: float) -> SuiteResult:
     for lam, gammas in ((-0.5, (0.5, 2.0)), (0.0, (0.5, 2.0)), (0.4, (0.5, 1.0))):
         for gamma in gammas:
             p = ChannelParams(gamma=gamma, lam=lam)
-            d = _dim_for(p, max_dim)
+            d = _fit_dim(p, max_dim)
             try:
                 ks = channel.kraus_set(p, d)
             except Exception as exc:  # truncation cap, etc.: a real failure
@@ -208,7 +201,7 @@ def _phase_suite(max_dim: int, tol: float) -> SuiteResult:
     rng = np.random.default_rng(11)
     for lam in (-0.4, 0.0, 0.4):
         p = ChannelParams(gamma=1.0, lam=lam)
-        d = _dim_for(p, max_dim)
+        d = _fit_dim(p, max_dim)
         for theta in (0.7, 2.0):
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = m @ m.conj().T

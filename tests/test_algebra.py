@@ -10,8 +10,13 @@ from kerrdeph import (
     build_annihilator,
     build_creator,
     build_k0,
+    build_unitary,
     deformation_factor,
     hamiltonian_identity_residual,
+    kernel_entry,
+    kernel_matrix,
+    kernel_oracle_table,
+    kraus_set,
     max_dimension,
 )
 
@@ -53,6 +58,41 @@ def test_deformation_factor():
     p = ChannelParams(gamma=1.0, lam=0.4, omega=1.0)
     for n in range(6):
         assert deformation_factor(n, p) == pytest.approx(np.sqrt(1 + p.y * n))
+
+
+def test_deformation_factor_at_the_boundary():
+    """The boundary level of an integer lam<0 space has f = 0, also where
+    1 + y n rounds below 0 (-2.2e-16 at n = 57 for omega = 0.7, lam =
+    -1.4/57); one level past the space is a DimensionError, as everywhere."""
+    p = ChannelParams(gamma=1.0, lam=-1.4 / 57, omega=0.7)
+    assert max_dimension(p) == 58
+    assert deformation_factor(57, p) == 0.0
+    q = ChannelParams(gamma=1.0, lam=-0.5, omega=1.0)
+    assert deformation_factor(4, q) == 0.0
+    with pytest.raises(DimensionError, match="exceeds the lam<0 space"):
+        deformation_factor(5, q)
+    with pytest.raises(DomainError, match="must be >= 0"):
+        deformation_factor(-1, q)
+
+
+_FIVE = ChannelParams(gamma=1.0, lam=-0.5, omega=1.0)  # levels 0..4
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kernel_entry(0, 5, _FIVE),
+    lambda: kernel_matrix(_FIVE, 6),
+    lambda: kraus_set(_FIVE, 6),
+    lambda: build_annihilator(_FIVE, 6),
+    lambda: build_unitary(_FIVE, 1, 6),
+    lambda: build_unitary(_FIVE, 6, 1),
+    lambda: deformation_factor(5, _FIVE),
+    lambda: kernel_oracle_table([(0, 5)], _FIVE),
+], ids=["kernel_entry", "kernel_matrix", "kraus_set", "build_annihilator",
+        "build_unitary-dim_e", "build_unitary-dim_s", "deformation_factor",
+        "kernel_oracle_table"])
+def test_one_past_the_negative_space_is_refused_in_one_wording(call):
+    with pytest.raises(DimensionError, match=r"exceeds the lam<0 space \(dim 5\)"):
+        call()
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)

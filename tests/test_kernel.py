@@ -11,6 +11,7 @@ from kerrdeph import (
     DomainError,
     amplitude_table,
     coherent_vector,
+    displacement_apply,
     kernel_entry,
     kernel_map,
     kernel_matrix,
@@ -326,6 +327,21 @@ def test_small_positive_lambda_matches_oracle(lam, gamma):
     worst = max(abs(kernel_entry(n, m, p) - cell.value)
                 for (n, m), cell in zip(pairs, cells))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-7, 1e-10])
+@pytest.mark.parametrize("gamma", [0.01, 1.0])
+def test_small_positive_lambda_coherent_vectors_match_oracle(lam, gamma):
+    """coherent_vector(n), n <= 5, against the dilation's vacuum column: the
+    rising factorial as a running log1p sum is within 1.2e-14 here, the
+    gammaln difference was up to 9.6e-6 off (lam = 1e-10, gamma = 1)."""
+    p = ChannelParams(gamma=gamma, lam=lam)
+    worst = 0.0
+    for n in range(6):
+        cv = coherent_vector(n, p)
+        ref = displacement_apply(mu(n, p), p, dim_e=256).amplitudes
+        worst = max(worst, float(np.abs(cv.amplitudes - ref[:cv.env_dim]).max()))
+    assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("lam", [1e-13, 1e-16, 1e-300])

@@ -2,6 +2,7 @@
 module and function name.  A renamed hook silently turns its metrics into
 null, and a print in library code breaks the harness's last-line result, so
 both are checked here against perfbench's own tables (read, never edited).
+Also checked here: the lam<0 refusal lives in one module.
 """
 
 import ast
@@ -51,6 +52,15 @@ def test_traced_pass_reports_no_null_metric(perfbench):
     nulls = [k for k, v in out.items()
              if v is None and not k.startswith("trace.overhead")]
     assert nulls == []
+
+
+def test_only_algebra_refuses_past_the_negative_space():
+    """Which sizes and indices the lam<0 space admits is decided in one
+    place, algebra's _check_dim and _check_index, in one wording."""
+    for path in sorted((ROOT / "src" / "kerrdeph").glob("*.py")):
+        if path.name != "algebra.py":
+            assert "exceeds the lam<0" not in path.read_text(encoding="utf-8"), (
+                path.name)
 
 
 def test_only_the_cli_writes_to_stdout():
