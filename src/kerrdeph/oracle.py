@@ -13,20 +13,31 @@ zero diagonal and couplings b_k = sqrt(k f(k)^2).  build_unitary is the only
 user of the eigenvector matrix W: it assembles the blocks literally.
 
 Everything else needs only the nodes theta_k and the vacuum weights
-w_k = W[0,k]^2 (Golub & Welsch).  The nodes are the eigenvalues of the
-generator; the rows W[j,:] follow from the three-term recurrence
+w_k = W[0,k]^2 (Golub & Welsch).  Both are built only on the block the
+vacuum reaches: a coupling that is exactly 0 (the top level of the lam<0
+space at integer 2 omega/|lam|) splits the generator there.  The zero
+diagonal makes the generator, its even and odd levels grouped,
+[[0, C], [C^T, 0]] with C bidiagonal at half the size (Golub & Kahan), so
+the nodes are +-sigma for the singular values sigma of C, and an odd block
+has one node at exactly 0.  dqds (LAPACK dlasq1, through the function
+pointer scipy.linalg.cython_lapack publishes) finds sigma to high relative
+accuracy (Fernando & Parlett); no node is averaged with its mirror.  The
+rows W[j,:] follow from the three-term recurrence
 v_{j+1} = (theta v_j - b_j v_{j-1}) / b_{j+1} from v_0 = 1 at every node,
 renormalised at each step and with the log of the norm carried, so nothing
-overflows and far nodes underflow to weight 0.  Both are built only on the
-block the vacuum reaches: a coupling that is exactly 0 (the top level of
-the lam<0 space at integer 2 omega/|lam|) splits the generator there.  The
-zero diagonal makes the nodes come in +-theta pairs (an odd block has one
-at 0) with v_j(-theta) = (-1)^j v_j(theta), so equal weights: the
-recurrence walks the nonnegative half of the nodes only.
+overflows.  v_j(-theta) = (-1)^j v_j(theta) gives +-theta equal weights,
+so the recurrence walks the nonnegative half of the nodes only.  A node
+leaves the weight walk once its log norm passes 400: the norm only grows,
+so its weight is exactly exp(-800) == 0.0 either way, and every other
+weight is bit for bit what a walk over all nodes gives.  A node of weight
+0.0 adds exactly nothing to a sum over the nodes, so the sums below and
+the row recurrence of the environment vectors run over the nonnegative
+nodes of nonzero weight only (about 350 of 2048 at dim_e = 4096).
 
 The vacuum columns x_n = U_n |0> have the Gram matrix
 <x_m, x_n> = sum_k w_k exp(i (mu_m - mu_n) theta_k),
-summed as sum mult w cos((mu_m - mu_n) theta) over the nonnegative nodes.
+summed as sum mult w cos((mu_m - mu_n) theta) over the nonnegative nodes of
+nonzero weight.
 The system side needs nothing else: the kernel oracle is its real part and
 the channel output is rho * G^T.  Environment vectors
 x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k) are built only where the
@@ -44,11 +55,12 @@ d x dim_s factor X, a block of rows at a time; only the returned rung is
 formed as a dense d x d matrix.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import cython_lapack, eigh_tridiagonal
 
 from .algebra import (ChannelParams, _check_dim, _check_index, _fit_dim,
                       max_dimension)
@@ -78,6 +90,25 @@ CONV_TOL = 1e-8
 ENV_START = 64
 #: rows of the environment output formed at a time when two rungs are compared
 ROW_BLOCK = 256
+#: a node leaves the weight walk once its log norm passes this; the norm only
+#: grows and exp(-2 * 400) == 0.0, so its weight is exactly 0 either way
+_LOG_NORM_CUT = 400.0
+
+
+def _lapack(name: str, *argtypes):
+    """LAPACK routine `name` from the function pointer scipy.linalg.cython_lapack
+    publishes, as a ctypes function returning nothing."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+#: dlasq1(n, d, e, work, info): singular values of an n x n bidiagonal by dqds
+_DLASQ1 = _lapack("dlasq1", _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT)
 
 
 @dataclass(frozen=True)
@@ -134,6 +165,28 @@ def _vacuum_block(y: float, dim_e: int) -> np.ndarray:
     return off[:zero[0]] if zero.size else off
 
 
+def _dqds(d: np.ndarray, e: np.ndarray) -> int:
+    """LAPACK dlasq1 on the bidiagonal with diagonal d and superdiagonal
+    e[:-1] (len(e) == len(d)): d becomes its singular values in decreasing
+    order and e is overwritten.  Returns dlasq1's info, 0 on success."""
+    if not (d.dtype == e.dtype == np.float64 and d.flags.c_contiguous
+            and e.flags.c_contiguous and d.size == e.size >= 1):
+        raise ValueError("dqds takes two contiguous float64 arrays of one length >= 1")
+    work = np.empty(4 * d.size)
+    info = ctypes.c_int(0)
+    _DLASQ1(ctypes.byref(ctypes.c_int(d.size)), d.ctypes.data_as(_DOUBLE),
+            e.ctypes.data_as(_DOUBLE), work.ctypes.data_as(_DOUBLE), ctypes.byref(info))
+    return info.value
+
+
+def _step(theta, a, c, b_prev, b):
+    """One recurrence step on (a, c) = (v_{j-1}, v_j) / |v_0..v_j|: returns
+    the next pair and g = |v_0..v_{j+1}| / |v_0..v_j| >= 1."""
+    u = (theta * c - b_prev * a) / b
+    g = np.sqrt(1.0 + u * u)
+    return c / g, u / g, g
+
+
 def _walk(theta: np.ndarray, off: np.ndarray):
     """v_{j+1} = (theta v_j - b_j v_{j-1}) / b_{j+1} from v_0 = 1, at all nodes.
 
@@ -143,11 +196,31 @@ def _walk(theta: np.ndarray, off: np.ndarray):
     a, c = np.zeros_like(theta), np.ones_like(theta)
     b_prev = 0.0
     for b in off:
-        u = (theta * c - b_prev * a) / b
-        g = np.sqrt(1.0 + u * u)
-        a, c = c / g, u / g
+        a, c, g = _step(theta, a, c, b_prev, b)
         b_prev = b
         yield c, g
+
+
+def _weights(theta: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """w = 1 / |v|^2 of the recurrence at each node, its log norm carried.
+
+    A node leaves the walk once its log norm passes _LOG_NORM_CUT: the norm
+    only grows, so its weight is exactly 0.0 either way, and the nodes that
+    stay take the same steps as in a walk over every node.
+    """
+    w = np.zeros_like(theta)
+    live = np.arange(theta.size)
+    t, a, c, log_norm = theta, np.zeros_like(theta), np.ones_like(theta), np.zeros_like(theta)
+    b_prev = 0.0
+    for b in off:
+        a, c, g = _step(t, a, c, b_prev, b)
+        log_norm += np.log(g)
+        b_prev = b
+        if log_norm.max(initial=0.0) > _LOG_NORM_CUT:
+            keep = log_norm <= _LOG_NORM_CUT
+            live, t, a, c, log_norm = live[keep], t[keep], a[keep], c[keep], log_norm[keep]
+    w[live] = np.exp(-2.0 * log_norm)
+    return w
 
 
 # entries are O(dim_e), so the ladders (64..4096 is 7 rungs) of several
@@ -156,22 +229,25 @@ def _walk(theta: np.ndarray, off: np.ndarray):
 def _env_eigensystem(y: float, dim_e: int):
     """Nodes theta_k and vacuum weights w_k = W[0,k]^2 of B + B^dag.
 
-    Both live on the block the vacuum reaches (see _vacuum_block); the
-    weights are 1 / |v|^2 of the recurrence, carried in logs.  The zero
-    diagonal makes the spectrum symmetric, v_j(-theta) = (-1)^j v_j(theta),
-    so w(-theta) = w(theta): each node is averaged with its mirror (the
-    middle node of an odd block is then exactly 0), the recurrence runs on
-    the nonnegative half and the weights are mirrored.  Read-only, since
-    the cache shares them.
+    Both live on the block the vacuum reaches (see _vacuum_block).  The
+    nonnegative nodes are the singular values, from dqds, of the bidiagonal
+    C with b1, b3, ... on its diagonal and b2, b4, ... off it; an odd block
+    gets a trailing 0 on the diagonal, which is the exact middle node 0.
+    The weights come from _weights on that half and are mirrored, as are
+    the nodes.  Read-only, since the cache shares them.  A dqds failure
+    raises ConvergenceError, so no unconverged node is returned.
     """
     off = _vacuum_block(y, dim_e)
-    theta = eigvalsh_tridiagonal(np.zeros(off.size + 1), off)
-    n = theta.size
-    pos = 0.5 * (theta[n // 2:] - theta[(n - 1) // 2::-1])
-    log_norm = np.zeros_like(pos)
-    for _c, g in _walk(pos, off):
-        log_norm += np.log(g)
-    w = np.exp(-2.0 * log_norm)
+    n = off.size + 1
+    d, e = np.zeros((n + 1) // 2), np.zeros((n + 1) // 2)
+    d[:n // 2], e[:(n - 1) // 2] = off[0::2], off[1::2]
+    info = _dqds(d, e)
+    if info != 0:
+        raise ConvergenceError(
+            f"dqds (LAPACK dlasq1) failed with info={info} on the {n}-level "
+            f"vacuum block of the generator (y={y})")
+    pos = d[::-1]
+    w = _weights(pos, off)
     theta = np.concatenate((-pos[::-1][:n // 2], pos))
     w = np.concatenate((w[::-1][:n // 2], w))
     theta.flags.writeable = False
@@ -180,29 +256,33 @@ def _env_eigensystem(y: float, dim_e: int):
 
 
 def _half_spectrum(y: float, dim_e: int):
-    """Nonnegative nodes, their weights and multiplicities (2; 1 for a node at 0)."""
+    """Nonnegative nodes of nonzero weight, their weights and multiplicities
+    (2; 1 for a node at 0).  A node of weight 0.0 adds exactly nothing to
+    any sum over the nodes, so it is left out of them."""
     theta, w = _env_eigensystem(y, dim_e)
     n = theta.size
-    mult = np.full(n - n // 2, 2.0)
+    theta, w = theta[n // 2:], w[n // 2:]
+    mult = np.full(theta.size, 2.0)
     mult[0] -= n % 2
-    return theta[n // 2:], w[n // 2:], mult
+    keep = w > 0.0
+    return theta[keep], w[keep], mult[keep]
 
 
 def _env_vectors(y: float, mus, dim_e: int) -> np.ndarray:
     """Columns exp(-i mu (B+B^dag)) |0>, one per mu, as a (dim_e, len(mus)) array.
 
     x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k), with the rows W[j,:]
-    generated by the recurrence in one pass over the nonnegative nodes:
-    a node and its mirror contribute W[j,k] W[0,k] (e^{-i mu theta} +
-    (-1)^j e^{i mu theta}), which holds for complex mu too.  W[0,k]
+    generated by the recurrence in one pass over the nonnegative nodes of
+    nonzero weight (see _half_spectrum): a node and its mirror contribute
+    W[j,k] W[0,k] (e^{-i mu theta} + (-1)^j e^{i mu theta}), which holds
+    for complex mu too.  W[0,k]
     exp(-+i mu theta_k) is formed in logs, so a complex mu neither
     overflows at far nodes nor magnifies the rounding error of their tiny
     weights.
     """
     theta, w, mult = _half_spectrum(y, dim_e)
     phase = 1j * np.multiply.outer(theta, np.asarray(mus, dtype=complex))
-    with np.errstate(divide="ignore"):
-        log_w0 = (0.5 * np.log(w) + np.log(0.5 * mult))[:, None]
+    log_w0 = (0.5 * np.log(w) + np.log(0.5 * mult))[:, None]
     minus, plus = np.exp(log_w0 - phase), np.exp(log_w0 + phase)
     heads = (minus + plus, minus - plus)  # even rows, odd rows
     X = np.zeros((dim_e, phase.shape[1]), dtype=complex)
@@ -224,7 +304,7 @@ def _vacuum_column(y: float, mu_value: complex, dim_e: int) -> np.ndarray:
 
 def _gram(p: ChannelParams, deltas: np.ndarray, dim_e: int) -> np.ndarray:
     """<x_m, x_n> = sum_k w_k exp(i delta theta_k) for each delta = mu_m - mu_n,
-    summed as sum mult w cos(delta theta) over the nonnegative nodes."""
+    summed as sum mult w cos(delta theta) over _half_spectrum's nodes."""
     theta, w, mult = _half_spectrum(p.y, dim_e)
     return np.cos(np.multiply.outer(deltas, theta)) @ (mult * w)
 

@@ -2,13 +2,14 @@
 and agreement between the two independent channel routes."""
 
 import csv
+import decimal
 import math
 import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, expm
 
 from kerrdeph import (
     ChannelParams,
@@ -160,6 +161,90 @@ def test_recurrence_weights_on_the_negative_branch(ratio):
         ref_theta, ref_w = np.delete(ref_theta, top), np.delete(ref_w, top)
     np.testing.assert_allclose(theta, ref_theta, rtol=1e-13, atol=1e-12)
     np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-14)
+
+
+def _count_below(x, b2):
+    """Sturm count: eigenvalues below x of the zero-diagonal tridiagonal with
+    squared couplings b2, in the current decimal context."""
+    q = -x
+    count = int(q < 0)
+    for b in b2:
+        q = -x - b / (q if q else decimal.Decimal("1e-80"))
+        count += q < 0
+    return count
+
+
+_REL = 1e-14
+
+
+@pytest.mark.parametrize("y, dim_e", [(0.0, 255), (0.0, 256), (0.05, 255), (0.05, 256),
+                                      (0.25, 255), (0.25, 256), (-0.05, 21)],
+                         ids=lambda v: str(v))
+def test_nodes_match_a_forty_digit_sturm_bisection(y, dim_e):
+    """dqds nodes against the exact spectrum of the same float generator:
+    within 1e-14 relative of a 40-digit bisection bracketed around each
+    float node, and within eigvalsh_tridiagonal's 64 eps ||J||."""
+    theta, _ = oracle._env_eigensystem(y, dim_e)
+    off = oracle._vacuum_block(y, dim_e)
+    n = theta.size
+    assert n == off.size + 1
+    with decimal.localcontext(decimal.Context(prec=40)):
+        b2 = [decimal.Decimal(b) ** 2 for b in off]
+        half = theta[n // 2:]
+        if n % 2:
+            assert half[0] == 0.0
+            assert _count_below(decimal.Decimal("-1e-30"), b2) == n // 2
+            assert _count_below(decimal.Decimal("1e-30"), b2) == n // 2 + 1
+        worst = 0.0
+        for i, node in enumerate(half[n % 2:], start=n // 2 + n % 2):
+            x = decimal.Decimal(node)
+            lo, hi = x * (1 - decimal.Decimal(_REL)), x * (1 + decimal.Decimal(_REL))
+            assert _count_below(lo, b2) == i and _count_below(hi, b2) == i + 1, (
+                f"node {i} = {node!r} is more than {_REL} off")
+            for _ in range(6):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if _count_below(mid, b2) == i else (lo, mid)
+            worst = max(worst, float(abs(x - (lo + hi) / 2) / x))
+    assert worst <= _REL
+
+    ref = eigvalsh_tridiagonal(np.zeros(n), off)
+    norm = 2.0 * off.max()
+    np.testing.assert_allclose(theta, ref, rtol=0, atol=64 * np.finfo(float).eps * norm)
+
+
+@pytest.mark.parametrize("y", [0.05, 0.25])
+@pytest.mark.parametrize("dim_e", [1024, 4096])
+def test_weight_walk_drops_only_weightless_nodes(y, dim_e):
+    """The trimmed weight walk equals a walk over every node bit for bit, and
+    the half spectrum keeps exactly the nodes of nonzero weight."""
+    theta, w = oracle._env_eigensystem(y, dim_e)
+    n = theta.size
+    pos = theta[n // 2:]
+    a, c, log_norm = np.zeros_like(pos), np.ones_like(pos), np.zeros_like(pos)
+    b_prev = 0.0
+    for b in oracle._vacuum_block(y, dim_e):
+        u = (pos * c - b_prev * a) / b
+        g = np.sqrt(1.0 + u * u)
+        a, c = c / g, u / g
+        log_norm += np.log(g)
+        b_prev = b
+    np.testing.assert_array_equal(w[n // 2:], np.exp(-2.0 * log_norm))
+    dropped = log_norm > oracle._LOG_NORM_CUT
+    assert dropped.any() and (w[n // 2:][dropped] == 0.0).all()
+
+    h_theta, h_w, mult = oracle._half_spectrum(y, dim_e)
+    keep = w[n // 2:] > 0.0
+    np.testing.assert_array_equal(h_theta, pos[keep])
+    np.testing.assert_array_equal(h_w, w[n // 2:][keep])
+    assert h_theta.size < keep.size
+    assert abs(mult @ h_w - w.sum()) <= 1e-15
+
+
+def test_unconverged_dqds_is_a_typed_refusal(monkeypatch):
+    """A dqds failure names the block and y; no unconverged node comes back."""
+    monkeypatch.setattr(oracle, "_dqds", lambda d, e: 2)
+    with pytest.raises(ConvergenceError, match=r"info=2 on the 64-level .*\(y=0\.25\)"):
+        oracle._env_eigensystem.__wrapped__(0.25, 64)
 
 
 def test_env_eigensystem_holds_no_dense_matrix():

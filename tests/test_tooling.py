@@ -2,7 +2,8 @@
 module and function name.  A renamed hook silently turns its metrics into
 null, and a print in library code breaks the harness's last-line result, so
 both are checked here against perfbench's own tables (read, never edited).
-Also checked here: the lam<0 refusal lives in one module.
+Also checked here: the lam<0 refusal lives in one module, the oracle
+imports no closed form, and only the oracle reaches LAPACK through ctypes.
 """
 
 import ast
@@ -61,6 +62,30 @@ def test_only_algebra_refuses_past_the_negative_space():
         if path.name != "algebra.py":
             assert "exceeds the lam<0" not in path.read_text(encoding="utf-8"), (
                 path.name)
+
+
+def test_oracle_imports_no_closed_form():
+    """The oracle arbitrates the closed forms, so from kernel it takes only
+    the displacement mu and the result type CoherentVector."""
+    allowed = {"mu", "CoherentVector"}
+    tree = ast.parse((ROOT / "src" / "kerrdeph" / "oracle.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.endswith("kernel") for a in node.names), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "kernel":
+                names = {a.name for a in node.names}
+                assert names <= allowed, f"oracle.py:{node.lineno} imports {names - allowed}"
+            else:
+                assert "kernel" not in {a.name for a in node.names}, node.lineno
+
+
+def test_only_the_oracle_calls_lapack_through_ctypes():
+    """Raw pointers into LAPACK stay in one module, behind its own checks."""
+    for path in sorted((ROOT / "src" / "kerrdeph").glob("*.py")):
+        if path.name != "oracle.py":
+            text = path.read_text(encoding="utf-8")
+            assert "ctypes" not in text and "cython_lapack" not in text, path.name
 
 
 def test_only_the_cli_writes_to_stdout():
