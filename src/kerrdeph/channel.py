@@ -192,9 +192,13 @@ def apply(rho, p: ChannelParams) -> DensityMatrix:
     The lam > 0 part rests on the closed form being free of cancellation
     (see kernel._closed_form).
     """
-    state = _as_state(rho)
+    return _apply(_as_state(rho), p)[0]
+
+
+def _apply(state: DensityMatrix, p: ChannelParams):
+    """apply on a checked state: the output and the kernel matrix it used."""
     K = kernel_matrix(p, state.dim).entries
-    return _trusted(K * state.entries)
+    return _trusted(K * state.entries), K
 
 
 def complementary_apply(rho, p: ChannelParams, env_dim: int | None = None,
@@ -224,7 +228,11 @@ def complementary_spectrum(pvec, p: ChannelParams) -> np.ndarray:
     pvec = np.asarray(pvec, dtype=float)
     if pvec.ndim != 1 or abs(pvec.sum() - 1.0) > 1e-9 or pvec.min() < -1e-12:
         raise DomainError("pvec must be a probability vector")
-    K = kernel_matrix(p, len(pvec)).entries
+    return _gram_spectrum(pvec, kernel_matrix(p, len(pvec)).entries)
+
+
+def _gram_spectrum(pvec: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """complementary_spectrum of a checked pvec, given its kernel matrix K."""
     root = np.sqrt(np.clip(pvec, 0.0, None))
     G = np.outer(root, root) * K
     q = np.linalg.eigvalsh(G)
@@ -287,6 +295,11 @@ def coherent_input_output(alpha: complex, p: ChannelParams,
     (unit trace to rounding, Hermitian to rounding, positive), and apply
     does not check its output (see apply).
     """
+    return apply(_coherent_input(alpha, p, dim), p)
+
+
+def _coherent_input(alpha: complex, p: ChannelParams, dim: int | None) -> DensityMatrix:
+    """The cut and renormalized coherent input of coherent_input_output."""
     if dim is not None and dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     alpha = complex(alpha)
@@ -300,7 +313,7 @@ def coherent_input_output(alpha: complex, p: ChannelParams,
     # scaled by the largest amplitude first, so that no projection underflows
     c = np.exp(la - la.max() + 1j * np.angle(alpha) * np.arange(len(la)))
     c /= np.linalg.norm(c)
-    return apply(_trusted(np.outer(c, c.conj())), p)
+    return _trusted(np.outer(c, c.conj()))
 
 
 def gaussian_decomposition(beta: complex, lambda_alg: float):

@@ -16,8 +16,7 @@ import numpy as np
 from .algebra import ChannelParams
 from .capacity import (EnergyConstraint, capacity_sweep, shannon_entropy,
                        von_neumann_entropy, write_capacity_csv)
-from .channel import (DensityMatrix, apply, coherent_input_output,
-                      complementary_spectrum)
+from .channel import DensityMatrix, _apply, _coherent_input, _gram_spectrum
 from .errors import (ConvergenceError, DimensionError, DomainError,
                      InvalidStateError, TruncationError)
 from .kernel import kernel_map, write_kernel_map_csv
@@ -56,13 +55,14 @@ def _parse_offsets(text: str):
 
 
 def _load_state(spec: str, p: ChannelParams, dim):
-    """State argument: 'coherent:<alpha>' or a path to a JSON density matrix."""
+    """Input state of 'coherent:<alpha>' (cut and renormalized as in
+    coherent_input_output) or of a path to a JSON density matrix."""
     if spec.startswith("coherent:"):
         try:
             alpha = complex(spec[len("coherent:"):])
         except ValueError:
             raise InvalidStateError(f"cannot parse coherent amplitude in {spec!r}")
-        return coherent_input_output(alpha, p, dim=dim), True
+        return _coherent_input(alpha, p, dim)
     try:
         with open(spec, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -73,7 +73,7 @@ def _load_state(spec: str, p: ChannelParams, dim):
         raise
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise InvalidStateError(f"cannot read state from {spec!r}: {exc}")
-    return DensityMatrix(entries), False
+    return DensityMatrix(entries)
 
 
 _ENTRIES = "@entries@"
@@ -119,12 +119,12 @@ def cmd_capacity(args) -> int:
 
 def cmd_apply(args) -> int:
     p = ChannelParams(gamma=args.gamma, lam=args.lam, omega=args.omega)
-    state, already_output = _load_state(args.state, p, args.dim)
-    # coherent:<alpha> builds the channel output directly; a JSON state is
-    # passed through the Hadamard form here
-    out = state if already_output else apply(state, p)
+    # one kernel matrix serves the output (apply) and its complementary
+    # spectrum (complementary_spectrum)
+    out, K = _apply(_load_state(args.state, p, args.dim), p)
     diag = np.clip(np.real(np.diag(out.entries)), 0.0, None)
-    spectrum = complementary_spectrum(diag / diag.sum(), p)
+    spectrum = _gram_spectrum(diag / diag.sum(), K)
+    del K  # freed before the entropy and the report, where memory peaks
     payload = {
         "params": {"gamma": args.gamma, "lambda": args.lam, "omega": args.omega},
         "output": {"dim": out.dim, "entries": _ENTRIES},

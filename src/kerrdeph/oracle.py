@@ -22,24 +22,20 @@ the nodes are +-sigma for the singular values sigma of C, and an odd block
 has one node at exactly 0.  dqds (LAPACK dlasq1, through the function
 pointer scipy.linalg.cython_lapack publishes) finds sigma to high relative
 accuracy (Fernando & Parlett); no node is averaged with its mirror.  The
-rows W[j,:] follow from the three-term recurrence
-v_{j+1} = (theta v_j - b_j v_{j-1}) / b_{j+1} from v_0 = 1 at every node,
-renormalised at each step and with the log of the norm carried, so nothing
-overflows.  v_j(-theta) = (-1)^j v_j(theta) gives +-theta equal weights,
-so the recurrence walks the nonnegative half of the nodes only.  A node
-leaves the weight walk once its log norm passes 400: the norm only grows,
-so its weight is exactly exp(-800) == 0.0 either way, and every other
-weight is bit for bit what a walk over all nodes gives.  A node of weight
-0.0 adds exactly nothing to a sum over the nodes, so the sums below and
-the row recurrence of the environment vectors run over the nonnegative
-nodes of nonzero weight only (about 350 of 2048 at dim_e = 4096).
+rows W[j,:] follow from the recurrence v_{j+1} = (theta v_j - b_j v_{j-1})
+/ b_{j+1}, one numpy row per level for all nodes, unnormalised within
+blocks of levels that a growth bound from the couplings keeps from
+overflowing: the weight walk starts from v_0 = 1 and rescales between
+blocks, carrying the log norm; the environment vectors start from
+v_0 = W[0,:].  v_j(-theta) = (-1)^j v_j(theta) gives +-theta equal
+weights, so both walk the nonnegative half of the nodes.  A node whose log
+norm passes 400 has weight exp(-800) == 0.0 and leaves the weight walk;
+the sums below and the environment vectors run over the nodes of nonzero
+weight only (about 350 of 2048 at dim_e = 4096).
 
 The vacuum columns x_n = U_n |0> have the Gram matrix
-<x_m, x_n> = sum_k w_k exp(i (mu_m - mu_n) theta_k),
-summed as sum mult w cos((mu_m - mu_n) theta) over the nonnegative nodes of
-nonzero weight.
-The system side needs nothing else: the kernel oracle is its real part and
-the channel output is rho * G^T.  Environment vectors
+<x_m, x_n> = sum_k w_k exp(i (mu_m - mu_n) theta_k): the kernel oracle is
+its real part and the channel output is rho * G^T.  Environment vectors
 x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k) are built only where the
 environment itself is the output (evolve_and_trace_system,
 displacement_apply), one recurrence pass over the rows for all columns.
@@ -179,46 +175,50 @@ def _dqds(d: np.ndarray, e: np.ndarray) -> int:
     return info.value
 
 
-def _step(theta, a, c, b_prev, b):
-    """One recurrence step on (a, c) = (v_{j-1}, v_j) / |v_0..v_j|: returns
-    the next pair and g = |v_0..v_{j+1}| / |v_0..v_j| >= 1."""
-    u = (theta * c - b_prev * a) / b
-    g = np.sqrt(1.0 + u * u)
-    return c / g, u / g, g
+def _blocks(off: np.ndarray):
+    """Blocks (s, e, [b_{s-1}, ..., b_{e-1}]) of levels v_s .. v_{e-1}.
 
-
-def _walk(theta: np.ndarray, off: np.ndarray):
-    """v_{j+1} = (theta v_j - b_j v_{j-1}) / b_{j+1} from v_0 = 1, at all nodes.
-
-    Yields (c, g) for j = 1 .. len(off): c = v_j / |v_0..v_j| and
-    g = |v_0..v_j| / |v_0..v_{j-1}| >= 1, so no value overflows.
+    Nodes are at most 2 max b (Gershgorin), so level j grows max(|v_j|,
+    |v_{j-1}|) at most max(1, (2 max b + b_j) / b_{j+1}) times: from entries
+    <= 1, a block whose log growth is <= log(max float / n) / 2 keeps every
+    value, and any sum of n squares, finite.
     """
-    a, c = np.zeros_like(theta), np.ones_like(theta)
-    b_prev = 0.0
-    for b in off:
-        a, c, g = _step(theta, a, c, b_prev, b)
-        b_prev = b
-        yield c, g
+    b = np.concatenate(([0.0], off))
+    growth = np.cumsum(np.r_[0.0, np.log(np.maximum(1.0, (2 * b.max() + b[:-1]) / b[1:]))])
+    budget, b, s = 0.5 * np.log(np.finfo(float).max / b.size), b.tolist(), 1
+    while s < len(b):
+        e = max(int(np.searchsorted(growth, growth[s - 1] + budget, side="right")), s + 1)
+        yield s, e, b[s - 1:e]
+        s = e
+
+
+def _levels(carry: np.ndarray, theta: np.ndarray, b: list) -> np.ndarray:
+    """Rows (v_{s-2}, v_{s-1}, v_s, ..., v_{e-1}) from carry = (v_{s-2}, v_{s-1})
+    and b = [b_{s-1}, ..., b_{e-1}], unnormalised, one numpy row per level."""
+    V = np.empty((len(b) + 1, theta.size))
+    V[:2] = carry
+    for prev, cur, nxt, b_prev, b_next in zip(V, V[1:], V[2:], b, b[1:]):
+        np.divide(theta * cur - b_prev * prev, b_next, out=nxt)
+    return V
 
 
 def _weights(theta: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """w = 1 / |v|^2 of the recurrence at each node, its log norm carried.
+    """w = 1 / |v|^2 of the recurrence from v_0 = 1 at each node.
 
-    A node leaves the walk once its log norm passes _LOG_NORM_CUT: the norm
-    only grows, so its weight is exactly 0.0 either way, and the nodes that
-    stay take the same steps as in a walk over every node.
-    """
-    w = np.zeros_like(theta)
-    live = np.arange(theta.size)
-    t, a, c, log_norm = theta, np.zeros_like(theta), np.ones_like(theta), np.zeros_like(theta)
-    b_prev = 0.0
-    for b in off:
-        a, c, g = _step(t, a, c, b_prev, b)
-        log_norm += np.log(g)
-        b_prev = b
+    Each block adds its squares to the log norm, then its last two rows are
+    rescaled to unit norm.  A node whose log norm passes _LOG_NORM_CUT has
+    weight 0.0 either way (the norm only grows) and leaves the walk; the
+    others take the same steps, in the same blocks, as over every node."""
+    w, live, log_norm = np.zeros_like(theta), np.arange(theta.size), np.zeros_like(theta)
+    V = np.stack((np.zeros_like(theta), np.ones_like(theta)))
+    for _, _, b in _blocks(off):
+        V = _levels(V[-2:], theta, b)
+        sq = np.einsum("ij,ij->j", V[2:], V[2:])
+        log_norm += 0.5 * np.log1p(sq)
+        V[-2:] /= np.sqrt(1.0 + sq)
         if log_norm.max(initial=0.0) > _LOG_NORM_CUT:
             keep = log_norm <= _LOG_NORM_CUT
-            live, t, a, c, log_norm = live[keep], t[keep], a[keep], c[keep], log_norm[keep]
+            live, theta, log_norm, V = live[keep], theta[keep], log_norm[keep], V[-2:, keep]
     w[live] = np.exp(-2.0 * log_norm)
     return w
 
@@ -271,14 +271,13 @@ def _half_spectrum(y: float, dim_e: int):
 def _env_vectors(y: float, mus, dim_e: int) -> np.ndarray:
     """Columns exp(-i mu (B+B^dag)) |0>, one per mu, as a (dim_e, len(mus)) array.
 
-    x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k), with the rows W[j,:]
-    generated by the recurrence in one pass over the nonnegative nodes of
-    nonzero weight (see _half_spectrum): a node and its mirror contribute
-    W[j,k] W[0,k] (e^{-i mu theta} + (-1)^j e^{i mu theta}), which holds
-    for complex mu too.  W[0,k]
-    exp(-+i mu theta_k) is formed in logs, so a complex mu neither
-    overflows at far nodes nor magnifies the rounding error of their tiny
-    weights.
+    x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k) over the nonnegative nodes
+    of nonzero weight (see _half_spectrum): a node and its mirror contribute
+    W[j,k] W[0,k] (e^{-i mu theta} + (-1)^j e^{i mu theta}), which holds for
+    complex mu too.  Each block of rows W[j,:] (_levels from v_0 = W[0,:])
+    becomes rows of x in one product per parity of j.  W[0,k]
+    exp(-+i mu theta_k) is formed in logs, so a complex mu neither overflows
+    at far nodes nor magnifies the rounding error of their tiny weights.
     """
     theta, w, mult = _half_spectrum(y, dim_e)
     phase = 1j * np.multiply.outer(theta, np.asarray(mus, dtype=complex))
@@ -286,11 +285,12 @@ def _env_vectors(y: float, mus, dim_e: int) -> np.ndarray:
     minus, plus = np.exp(log_w0 - phase), np.exp(log_w0 + phase)
     heads = (minus + plus, minus - plus)  # even rows, odd rows
     X = np.zeros((dim_e, phase.shape[1]), dtype=complex)
-    scale = np.sqrt(w)  # |v_0..v_j| / |v|, so that W[j,:] = c * scale
-    X[0] = scale @ heads[0]
-    for j, (c, g) in enumerate(_walk(theta, _vacuum_block(y, dim_e)), start=1):
-        scale = scale * g
-        X[j] = (c * scale) @ heads[j % 2]
+    V = np.stack((np.zeros_like(w), np.sqrt(w)))
+    X[0] = V[1] @ heads[0]
+    for s, e, b in _blocks(_vacuum_block(y, dim_e)):
+        V = _levels(V[-2:], theta, b)
+        for first, head in zip((s % 2, 1 - s % 2), heads):  # V[2 + first] is v_{s + first}
+            X[s + first:e:2] = (V[2 + first::2] @ head.view(float)).view(complex)
     return X
 
 

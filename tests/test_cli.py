@@ -79,6 +79,20 @@ def test_apply_coherent_to_stdout(capsys):
     assert len(payload["output"]["entries"]) == dim * dim
 
 
+@pytest.mark.parametrize("lam", [0.3, 0.0, -0.2])
+def test_apply_builds_the_kernel_once(lam, monkeypatch, capsys):
+    """The output and its complementary spectrum share one kernel matrix."""
+    from kerrdeph import channel
+
+    calls = []
+    kernel_matrix = channel.kernel_matrix
+    monkeypatch.setattr(channel, "kernel_matrix", lambda *a: calls.append(a) or kernel_matrix(*a))
+    assert main(["apply", "--state", "coherent:1.5", "--gamma", "0.8",
+                 "--lambda", str(lam)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["complementary_entropy_bits"] > 0.0
+
+
 def test_apply_state_file_roundtrip(tmp_path, capsys):
     rho = np.diag([0.6, 0.4])
     path = _write_state(tmp_path / "state.json", 2, rho)

@@ -215,19 +215,22 @@ def test_nodes_match_a_forty_digit_sturm_bisection(y, dim_e):
 @pytest.mark.parametrize("y", [0.05, 0.25])
 @pytest.mark.parametrize("dim_e", [1024, 4096])
 def test_weight_walk_drops_only_weightless_nodes(y, dim_e):
-    """The trimmed weight walk equals a walk over every node bit for bit, and
-    the half spectrum keeps exactly the nodes of nonzero weight."""
+    """The trimmed weight walk equals the same blocked walk over every node
+    bit for bit, and the half spectrum keeps exactly the nodes of nonzero
+    weight."""
     theta, w = oracle._env_eigensystem(y, dim_e)
     n = theta.size
     pos = theta[n // 2:]
-    a, c, log_norm = np.zeros_like(pos), np.ones_like(pos), np.zeros_like(pos)
-    b_prev = 0.0
-    for b in oracle._vacuum_block(y, dim_e):
-        u = (pos * c - b_prev * a) / b
-        g = np.sqrt(1.0 + u * u)
-        a, c = c / g, u / g
-        log_norm += np.log(g)
-        b_prev = b
+    off = oracle._vacuum_block(y, dim_e)
+    b = [0.0] + off.tolist()
+    carry, log_norm = np.stack((np.zeros_like(pos), np.ones_like(pos))), np.zeros_like(pos)
+    for s, e, _ in oracle._blocks(off):
+        V = np.vstack((carry, np.empty((e - s, pos.size))))
+        for i in range(e - s):
+            V[i + 2] = (pos * V[i + 1] - b[s - 1 + i] * V[i]) / b[s + i]
+        sq = np.einsum("ij,ij->j", V[2:], V[2:])
+        log_norm += 0.5 * np.log1p(sq)
+        carry = V[-2:] / np.sqrt(1.0 + sq)
     np.testing.assert_array_equal(w[n // 2:], np.exp(-2.0 * log_norm))
     dropped = log_norm > oracle._LOG_NORM_CUT
     assert dropped.any() and (w[n // 2:][dropped] == 0.0).all()
@@ -238,6 +241,74 @@ def test_weight_walk_drops_only_weightless_nodes(y, dim_e):
     np.testing.assert_array_equal(h_w, w[n // 2:][keep])
     assert h_theta.size < keep.size
     assert abs(mult @ h_w - w.sum()) <= 1e-15
+
+
+def _per_step_weights(pos, off):
+    """The walk renormalised at every level, its log norm carried per step."""
+    a, c, log_norm = np.zeros_like(pos), np.ones_like(pos), np.zeros_like(pos)
+    b_prev = 0.0
+    for b in off:
+        u = (pos * c - b_prev * a) / b
+        g = np.sqrt(1.0 + u * u)
+        a, c = c / g, u / g
+        log_norm += np.log(g)
+        b_prev = b
+    return np.exp(-2.0 * log_norm)
+
+
+def _forty_digit_weight(node, off):
+    """1 / sum v_j^2 of the same recurrence at the same float node and
+    couplings, in 40-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        x, a, c, total, b_prev = decimal.Decimal(node), 0, 1, 1, 0
+        for b in map(decimal.Decimal, off):
+            a, c = c, (x * c - b_prev * a) / b
+            total += c * c
+            b_prev = b
+        return float(1 / total)
+
+
+@pytest.mark.parametrize("y, dim_e", [(0.25, 512), (0.05, 1024)], ids=lambda v: str(v))
+def test_blocked_weights_against_a_forty_digit_recurrence(y, dim_e):
+    """On 40 live nodes the blocked weights are no less accurate than a walk
+    renormalised at every level, in the median and at the worst node."""
+    theta, w = oracle._env_eigensystem(y, dim_e)
+    n = theta.size
+    pos, w = theta[n // 2:], w[n // 2:]
+    off = oracle._vacuum_block(y, dim_e)
+    live = np.flatnonzero(w > 0.0)
+    nodes = live[np.linspace(0, live.size - 1, 40).round().astype(int)]
+    exact = np.array([_forty_digit_weight(pos[k], off) for k in nodes])
+    blocked = np.abs(w[nodes] - exact) / exact
+    per_step = np.abs(_per_step_weights(pos, off)[nodes] - exact) / exact
+    assert np.median(blocked) <= min(np.median(per_step), 1e-13)
+    assert blocked.max() <= per_step.max()
+
+
+_NEG = ChannelParams(gamma=1.0, lam=-0.001, omega=1.0)
+
+
+@pytest.mark.parametrize("y, dim_e", [(1.5, 4096), (0.0, 4096), (_NEG.y, max_dimension(_NEG))],
+                         ids=["y=1.5", "y=0", "lam=-0.001"])
+def test_blocked_walk_stays_finite_at_the_fastest_growth(y, dim_e, monkeypatch):
+    """No unnormalised block overflows, not even in its sum of squares at
+    the nodes that leave the walk: the weights are finite and sum to 1, and
+    the vacuum columns of real mu have unit norm."""
+    levels = oracle._levels
+
+    def checked_levels(*args):
+        V = levels(*args)
+        assert np.isfinite(np.einsum("ij,ij->j", V, V)).all()
+        return V
+
+    monkeypatch.setattr(oracle, "_levels", checked_levels)
+    theta, w = oracle._env_eigensystem.__wrapped__(y, dim_e)
+    assert np.isfinite(w).all() and (w >= 0.0).all()
+    np.testing.assert_array_equal(w, oracle._env_eigensystem(y, dim_e)[1])
+    _, h_w, mult = oracle._half_spectrum(y, dim_e)
+    assert abs(mult @ h_w - 1.0) <= 1e-14
+    X = oracle._env_vectors(y, [0.0, 0.7, 2.3, 9.0], dim_e)
+    np.testing.assert_allclose(np.linalg.norm(X, axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 def test_unconverged_dqds_is_a_typed_refusal(monkeypatch):
@@ -255,12 +326,22 @@ def test_env_eigensystem_holds_no_dense_matrix():
         assert not a.flags.writeable
 
 
-@pytest.mark.parametrize("y, dim_e", [(0.0, 63), (0.25, 64),
-                                      (ChannelParams(gamma=1.0, lam=-0.13).y, 16)],
-                         ids=["y=0-odd", "y=0.25-even", "lam=-0.13"])
-def test_env_vectors_match_dense_exponential(y, dim_e):
+@pytest.mark.parametrize("y, dim_e, split", [
+    (0.0, 63, None), (0.25, 64, None), (ChannelParams(gamma=1.0, lam=-0.13).y, 16, None),
+    (0.25, 200, None), (0.25, 200, 7)],
+    ids=["y=0-odd", "y=0.25-even", "lam=-0.13", "y=0.25-two-blocks", "y=0.25-7-level-blocks"])
+def test_env_vectors_match_dense_exponential(y, dim_e, split, monkeypatch):
     """The paired half-spectrum sum against expm of the same truncated
-    generator, for real and complex mu."""
+    generator, for real and complex mu, also with the blocks of the row
+    recurrence cut to `split` levels."""
+    oracle._half_spectrum(y, dim_e)  # weights from the unsplit walk
+    blocks = list(oracle._blocks(oracle._vacuum_block(y, dim_e)))
+    if dim_e == 200:
+        assert len(blocks) == 2
+    if split:
+        monkeypatch.setattr(oracle, "_blocks", lambda *args: [
+            (t, min(t + split, e), b[t - s:t - s + split + 1])
+            for s, e, b in blocks for t in range(s, e, split)])
     mus = [0.0, 0.7, 2.3, 0.4 + 0.2j, 1.1 - 0.3j]
     X = oracle._env_vectors(y, mus, dim_e)
     off = oracle._couplings(y, dim_e)
