@@ -28,9 +28,9 @@ for gamma in GAMMAS:
         cells.append(f"{res.Q:7.4f}{mark}")
     print(f"{gamma:7.2f}" + "".join(cells))
 print("\n? = KKT certificate above the 1e-9 target.  At strong dephasing the")
-print("    optimum parks ~1e-12 of mass on high levels; the Newton polish")
-print("    resolves it with the closed-form Hessian, so every cell here is")
-print("    certified.")
+print("    optimum parks ~1e-12 of mass on high levels; Newton steps with")
+print("    the closed-form Hessian, kept when J rises or the KKT residual")
+print("    falls, resolve it, so every cell here is certified.")
 
 print()
 for N in NS:

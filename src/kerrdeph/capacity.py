@@ -5,13 +5,12 @@ and the complementary output has the spectrum of the Gram matrix
 G_{mn} = sqrt(p_m p_n) K_{n,m}, so the coherent information reduces to
 J(p) = H(p) - S(G) with H the Shannon entropy in bits.  The channel is
 degradable, J is concave on the simplex, and local maxima are global.  The
-optimizer is exponentiated-gradient (mirror) ascent from the uniform input,
-which converges only linearly, finished by Newton steps on the KKT system,
-which converge quadratically: the first time the KKT residual falls below
-_NEWTON_HANDOVER the ascent tries Newton from there and stops if that
-certifies (residual < tol).  The multistart stops at the first certified
-ascent and falls back to Dirichlet-random starts only when an ascent is
-not certified; an exhaustive simplex grid is a low-N cross-check.
+optimizer is one ascent loop from the uniform input: damped Newton steps
+on the KKT system, and exponentiated-gradient (mirror) steps only where a
+Newton step is not kept.  The multistart stops at the first certified
+ascent (KKT residual < tol) and falls back to Dirichlet-random starts only
+when an ascent is not certified; an exhaustive simplex grid is a low-N
+cross-check.
 
 An average-energy cap sum_n p_n eps(n) <= E, eps(n) = n + lam n^2 / 2, is
 enforced through its Lagrange multiplier (bisection over nu on the shifted
@@ -21,7 +20,7 @@ on expensive levels that projection-based iterations truncate to zero.
 
 Both derivatives of J are closed forms in the eigendecomposition of the
 Gram matrix: the gradient from f(G), f(x) = x log2 x, and the Hessian of
-the Newton polish from the divided differences of f (Daleckii-Krein).
+the Newton step from the divided differences of f (Daleckii-Krein).
 """
 
 import csv
@@ -52,20 +51,12 @@ __all__ = [
 ]
 
 _LOG2_FLOOR = 1e-300  # argument floor inside log2; entries at 0 contribute 0
-# The ascent tries Newton once its KKT residual falls below _NEWTON_HANDOVER,
-# and every Newton polish runs on to a residual of tol * _POLISH_DEPTH.  Over
-# the 59 optimize_capacity calls of perfbench's grid-sweeps this cut the
-# objective evaluations from 7417 to 1117 (Q within 7.6e-15, worst certified
-# residual 9.8e-10 -> 9.9e-13).  A 1e-2 hand-over tries Newton too early:
-# more Hessians per call on the short N=2 revival calls (up to 3, not 2),
-# and a slower median grid-sweeps task.  Polishing only to tol leaves
-# energy-capped solves up to 1.9e-9 short of the optimum: the bisection
-# warm-starts each solve from the last, and an iterate that only just
-# certifies can come back unchanged at a new multiplier.  On 27 capped N=3
-# calls (lam in {-.4, 0, .3}, gamma in {.5, 1, 2}, E in {.5, 1.2, 2}) the
-# shortfall against a tol=1e-12 solve is 4.7e-13 (9.4e-11 with the mirror
-# ascent run to its stall), in 4.4k evaluations instead of 38.7k.
-_NEWTON_HANDOVER = 1e-3
+# Every ascent runs on to a KKT residual of tol * _POLISH_DEPTH.  Stopping at
+# tol leaves energy-capped solves up to 1.9e-9 short of the optimum: the
+# bisection warm-starts each solve from the last, and an iterate that only
+# just certifies can come back unchanged at a new multiplier.  On 27 capped
+# N=3 calls (lam in {-.4, 0, .3}, gamma in {.5, 1, 2}, E in {.5, 1.2, 2})
+# the shortfall against a tol=1e-12 solve is at most 4.7e-13.
 _POLISH_DEPTH = 1e-3
 
 
@@ -106,6 +97,10 @@ class EnergyConstraint:
 
     E: float
 
+    def __post_init__(self):
+        if math.isnan(self.E):  # every comparison with nan reads False
+            raise DomainError("energy bound E must be a number, got nan")
+
     def values(self, indices, lam: float) -> np.ndarray:
         return energy(np.asarray(indices, dtype=float), lam)
 
@@ -144,6 +139,14 @@ def fock_menu(N: int, offsets=(0, 1, 1)):
     return idx[: N + 1]
 
 
+def _menu(N: int, indices):
+    """The default menu of N+1 levels, or `indices` checked to hold N+1."""
+    idx = fock_menu(N) if indices is None else list(indices)
+    if len(idx) != N + 1:
+        raise DomainError(f"menu has {len(idx)} levels, expected N+1={N + 1}")
+    return idx
+
+
 def _menu_kernel(p: ChannelParams, indices, convention: str) -> np.ndarray:
     """Real kernel matrix restricted to the index menu.
 
@@ -166,8 +169,7 @@ def coherent_information(pvec, p: ChannelParams, indices=None,
     pvec = np.asarray(pvec, dtype=float)
     if abs(pvec.sum() - 1.0) > 1e-9 or pvec.min() < -1e-12:
         raise DomainError("pvec must be a probability vector")
-    idx = fock_menu(len(pvec) - 1) if indices is None else list(indices)
-    K = _menu_kernel(p, idx, convention)
+    K = _menu_kernel(p, _menu(len(pvec) - 1, indices), convention)
     J, _ = _objective_and_gradient(np.clip(pvec, 0.0, None), K)
     return J
 
@@ -189,13 +191,12 @@ def _objective_and_gradient(pv: np.ndarray, K: np.ndarray, shift=None):
     <shift, pv> from the objective (Lagrangian for the energy constraint).
     """
     root = np.sqrt(pv)
-    G = (root[:, None] * root[None, :]) * K
-    q, V = np.linalg.eigh(G)
-    qc = np.clip(q, 0.0, None)
-    xw = _xlog2x(qc)
-    J = _h_bits(pv) + float(xw.sum())  # H(p) - S = H(p) + sum q log2 q
+    q, V = np.linalg.eigh(np.multiply.outer(root, root) * K)
+    xw = _xlog2x(np.maximum(q, 0.0))
     pf = np.maximum(pv, _LOG2_FLOOR)
-    g = -np.log2(pf) + ((V * V) @ xw) / pf
+    lg = np.log2(pf)
+    J = float(xw.sum()) - float((pv * lg).sum())  # H(p) - S = H(p) + sum q log2 q
+    g = ((V * V) @ xw) / pf - lg
     if shift is not None:
         return J - float(shift @ pv), g - shift
     return J, g
@@ -213,103 +214,103 @@ def _hessian(ps: np.ndarray, Ks: np.ndarray) -> np.ndarray:
     A linear energy shift does not enter.
     """
     root = np.sqrt(ps)
-    q, V = np.linalg.eigh((root[:, None] * root[None, :]) * Ks)
-    q = np.clip(q, 0.0, None)
-    hi = np.maximum(q[:, None], q[None, :])
-    lo = np.minimum(q[:, None], q[None, :])
+    q, V = np.linalg.eigh(np.multiply.outer(root, root) * Ks)
+    q = np.maximum(q, 0.0)
+    hi = np.maximum.outer(q, q)
+    lo = np.minimum.outer(q, q)
     # F_ij ln2 = ln hi + r ln r / (r - 1), r = lo/hi: f'(q) at r = 1, f(hi)/hi at r = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         r = lo / hi
         tail = np.where(r == 1.0, 1.0, np.where(r > 0.0, r * np.log(r) / (r - 1.0), 0.0))
         A = np.where(hi > 0.0, (np.log(hi) + tail) * (hi + lo) / 2.0, 0.0) / math.log(2.0)
     # one eigenvector i at a time, so memory stays O(n^2) at large menus
-    T = sum(np.outer(V[:, i], V[:, i]) * ((V * A[i]) @ V.T) for i in range(len(q)))
+    T = sum(np.multiply.outer(V[:, i], V[:, i]) * ((V * A[i]) @ V.T) for i in range(len(q)))
     fG = (V * V) @ _xlog2x(q)
-    return T / np.outer(ps, ps) - np.diag(1.0 / (ps * math.log(2.0)) + fG / ps**2)
+    return T / np.multiply.outer(ps, ps) - np.diag(1.0 / (ps * math.log(2.0)) + fG / ps**2)
 
 
 def _kkt_residual(pv: np.ndarray, g: np.ndarray, support_tol: float = 1e-12) -> float:
     """Stationarity residual on the simplex: gradient flat on the support,
     and no ascent direction into zero coordinates."""
-    c = float(pv @ g)
-    on = pv > support_tol
-    r_on = float(np.abs(g[on] - c).max()) if on.any() else 0.0
-    r_off = float(np.clip(g[~on] - c, 0.0, None).max()) if (~on).any() else 0.0
-    return max(r_on, r_off)
+    d = g - float(pv @ g)
+    return float(np.max(np.where(pv > support_tol, np.abs(d), d), initial=0.0))
 
 
-def _newton_polish(pv, K, tol, shift=None, rounds: int = 40):
-    """Newton iteration on the interior KKT system g(p) = c, sum p = 1.
+def _newton_step(pv, J, g, r, K, tol, shift=None):
+    """One damped Newton step on the interior KKT system g(p) = c, sum p = 1.
 
-    Each round solves for a step with the closed-form Hessian (`_hessian`,
-    one eigh) and keeps it, damped to stay inside the simplex, only if it
-    lowers the KKT residual r.  The rounds stop at r < tol * _POLISH_DEPTH,
-    or at the first round that no longer lowers r; the caller decides
-    whether r < tol certifies.  Coordinates at zero stay frozen unless the
-    KKT check says mass should flow back into them.
+    The step solves the bordered system with the closed-form Hessian
+    (`_hessian`, one eigh) on the support p > 1e-12, damped to keep the
+    support strictly positive; a step along which J does not rise to first
+    order is not tried.  When a coordinate off the support asks for mass
+    (g_k - c > tol), the candidate instead reopens each such coordinate to
+    1e-8.  A candidate is kept when J rises by more than 1e-15, or when the
+    KKT residual r falls while J falls by at most min(r, tol): J is
+    resolved only to about 1e-14 (rounding in the two entropies), so a
+    1e-15 band turns the last steps to the optimum away, and a point with
+    residual r is within r of the optimum in J (J is concave and
+    max_k g_k - c <= r).  Returns the kept (p, J, g, r), or None.
     """
-    pv = np.clip(np.asarray(pv, dtype=float), 0.0, None)
-    pv = pv / pv.sum()
-    J, g = _objective_and_gradient(pv, K, shift)
-    r = _kkt_residual(pv, g)
-    for _ in range(rounds):
-        if r < tol * _POLISH_DEPTH:
-            break
-        c = float(pv @ g)
-        support = pv > 1e-12
-        off = ~support
-        if off.any() and float(np.clip(g[off] - c, 0.0, None).max()) > tol:
-            pv = np.maximum(pv, 1e-8)  # reopen the starved coordinate
-            pv = pv / pv.sum()
-            J, g = _objective_and_gradient(pv, K, shift)
-            r = _kkt_residual(pv, g)
-            continue
-        idx = np.nonzero(support)[0]
-        k = len(idx)
-        if k < 2:
-            break
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = _hessian(pv[idx], K[np.ix_(idx, idx)])
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[:k] = c - g[idx]
-        try:
-            step = np.linalg.solve(kkt, rhs)[:k]
-        except np.linalg.LinAlgError:
-            break
-        # fraction-to-boundary damping keeps the support strictly positive
-        neg = step < 0
-        alpha = 1.0
-        if neg.any():
-            alpha = min(1.0, float(0.95 * np.min(-pv[idx][neg] / step[neg])))
-        # the damped step, else half of it: where J grows like -p log p a
-        # tiny support mass overshoots towards zero under the exact Hessian
-        for scale in (1.0, 0.5):
-            cand = pv.copy()
-            cand[idx] = pv[idx] + scale * alpha * step
-            cand = np.clip(cand, 0.0, None)
-            cand = cand / cand.sum()
-            Jc, gc = _objective_and_gradient(cand, K, shift)
-            rc = _kkt_residual(cand, gc)
-            if rc < r:
-                break
-        if rc >= r:
-            break
-        pv, J, g, r = cand, Jc, gc, rc
-    return pv, J, r
+    def kept(cand):
+        cand = np.maximum(cand, 0.0)
+        cand = cand / cand.sum()
+        Jc, gc = _objective_and_gradient(cand, K, shift)
+        rc = _kkt_residual(cand, gc)
+        if Jc > J + 1e-15 or (rc < r and Jc >= J - min(r, tol)):
+            return cand, Jc, gc, rc
+        return None
+
+    c = float(pv @ g)
+    off = pv <= 1e-12
+    starved = off & (g - c > tol)
+    if starved.any():
+        return kept(np.where(starved, 1e-8, pv))
+    idx = np.nonzero(~off)[0]
+    k = len(idx)
+    if k < 2:
+        return None
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = _hessian(pv[idx], K[idx][:, idx])
+    kkt[:k, k] = 1.0
+    kkt[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[:k] = c - g[idx]
+    try:
+        step = np.linalg.solve(kkt, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return None
+    if float(rhs[:k] @ step) >= 0.0:
+        return None  # the model does not curve down along the step: no ascent
+    # fraction-to-boundary damping keeps the support strictly positive
+    neg = step < 0
+    alpha = 1.0
+    if neg.any():
+        alpha = min(1.0, float(0.95 * np.min(-pv[idx][neg] / step[neg])))
+    move = np.zeros_like(pv)
+    move[idx] = alpha * step
+    # the damped step, else half of it: where J grows like -p log p a
+    # tiny support mass overshoots towards zero under the exact Hessian
+    return kept(pv + move) or kept(pv + move / 2.0)
 
 
 def _ascend_simplex(p0, K, tol, max_iter, shift=None):
     """Maximize J from p0; returns (p, J, trace, converged, r).
 
-    Exponentiated-gradient steps run until the KKT residual r first falls
-    below _NEWTON_HANDOVER; a Newton polish from that iterate ends the
-    ascent if it certifies (r < tol), and is discarded otherwise.  The
-    mirror steps then go on until r < tol, max_iter, or 60 accepted steps
-    that no longer raise J by more than 1e-15, and a last polish runs
-    unless r is already below tol * _POLISH_DEPTH.  `trace` holds J after
-    every accepted step and after the polish that ends the ascent.
+    Each round takes the Newton step of `_newton_step`.  Only a round whose
+    Newton step is not kept takes one exponentiated-gradient (mirror) step:
+    it is kept when J falls by no more than 1e-15, and the step size eta
+    then grows by 1.2, else eta halves and the iterate stays.  Newton is
+    tried again only after a step raises J by more than 1e-15 (retried
+    after every step, it made the uncertified full lam<0 spaces up to 1.45
+    times slower).  Mirror steps carry the rounds where the Newton model
+    does not curve down along its step: J is linear in the weight of a
+    level orthogonal to the others (lam=-1, gamma=19.74, N=2: 10 of 16
+    rounds), and 29 of 71 rounds at (lam=.98, gamma=6.7, N=5).
+    The rounds stop at a KKT residual r < tol * _POLISH_DEPTH; at 60 kept
+    steps in a row that raise J by no more than 1e-15; once r < tol, at the
+    first mirror step that does not raise J by more than 1e-15; when eta
+    falls below 1e-18; or after max_iter rounds.  `converged` means
+    r < tol, and `trace` holds J after every kept step.
 
     With `shift` the objective is the Lagrangian J - <shift, p>; the simplex
     machinery is unchanged because the extra term is linear.
@@ -317,39 +318,36 @@ def _ascend_simplex(p0, K, tol, max_iter, shift=None):
     pv = np.clip(np.asarray(p0, dtype=float), 1e-12, None)
     pv = pv / pv.sum()
     J, g = _objective_and_gradient(pv, K, shift)
-    eta = 0.5
-    trace = [J]
     r = _kkt_residual(pv, g)
+    trace = [J]
+    eta = 0.5
     stall = 0
-    it = 0
-    tried = False
-    while it < max_iter and r >= tol:
-        it += 1
-        step = g - g.max()
-        cand = pv * np.exp(eta * step * math.log(2.0))  # gradient is in bits
-        cand = np.maximum(cand / cand.sum(), _LOG2_FLOOR)
-        Jc, gc = _objective_and_gradient(cand, K, shift)
-        if Jc >= J - 1e-15:
-            stall = 0 if Jc > J + 1e-15 else stall + 1
-            pv, J, g = cand, Jc, gc
-            trace.append(J)
+    newton = True
+    for _ in range(max_iter):
+        if r < tol * _POLISH_DEPTH:
+            break
+        out = _newton_step(pv, J, g, r, K, tol, shift) if newton else None
+        newton = out is not None
+        if out is None:
+            cand = pv * np.exp(eta * (g - g.max()) * math.log(2.0))  # g is in bits
+            cand = np.maximum(cand / cand.sum(), _LOG2_FLOOR)
+            Jc, gc = _objective_and_gradient(cand, K, shift)
+            if r < tol and Jc <= J + 1e-15:
+                break  # certified, and neither step raises J
+            if Jc < J - 1e-15:
+                eta /= 2.0
+                if eta < 1e-18:
+                    break
+                continue
             eta = min(eta * 1.2, 64.0)
-            r = _kkt_residual(pv, g)
-            if not tried and r < _NEWTON_HANDOVER:
-                tried = True
-                pn, Jn, rn = _newton_polish(pv, K, tol, shift)
-                if rn < tol:
-                    trace.append(Jn)
-                    return pn, Jn, trace, True, rn
-            if stall >= 60:  # J is at the ulp floor; leave it to the last polish
-                break
-        else:
-            eta /= 2.0
-            if eta < 1e-18:
-                break
-    if r >= tol * _POLISH_DEPTH:
-        pv, J, r = _newton_polish(pv, K, tol, shift)
+            out = cand, Jc, gc, _kkt_residual(cand, gc)
+        rose = out[1] > J + 1e-15
+        newton = newton or rose
+        stall = 0 if rose else stall + 1
+        pv, J, g, r = out
         trace.append(J)
+        if stall >= 60:
+            break
     return pv, J, trace, r < tol, r
 
 
@@ -359,8 +357,9 @@ def optimize_capacity(p: ChannelParams, N: int, constraint: EnergyConstraint | N
                       seed: int = 0) -> CapacityResult:
     """Maximize J over diagonal inputs on N+1 menu levels.
 
-    Ascends from the uniform start first and stops there when the result is
-    certified (KKT residual < tol).  `starts` Dirichlet-random starts (fixed
+    Ascends from the uniform start first (`_ascend_simplex`: Newton steps,
+    mirror steps only as the fallback, at most max_iter rounds) and stops
+    there when the result is certified (KKT residual < tol).  `starts` Dirichlet-random starts (fixed
     `seed`) are the fallback: they run in order only while no certified
     result has been kept, and the best J wins (ulp-level ties go to a
     certified run).  J is concave here, so the fallback only guards against
@@ -373,9 +372,7 @@ def optimize_capacity(p: ChannelParams, N: int, constraint: EnergyConstraint | N
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    idx = fock_menu(N) if indices is None else list(indices)
-    if len(idx) != N + 1:
-        raise DomainError(f"menu has {len(idx)} levels, expected N+1={N + 1}")
+    idx = _menu(N, indices)
     K = _menu_kernel(p, idx, convention)
 
     rng = np.random.default_rng(seed)
@@ -443,8 +440,7 @@ def exhaustive_capacity(p: ChannelParams, N: int, step: float = 0.01,
         raise DomainError(f"exhaustive search supports N=1,2 only, got {N}")
     if not 0.0 < step <= 1.0:
         raise DomainError(f"step must be in (0, 1], got {step}")
-    idx = fock_menu(N) if indices is None else list(indices)
-    K = _menu_kernel(p, idx, convention)
+    K = _menu_kernel(p, _menu(N, indices), convention)
 
     ticks = np.arange(0.0, 1.0 + step / 2.0, step)
     if N == 1:
@@ -493,7 +489,7 @@ def capacity_sweep(lambdas, gammas, Ns, omega: float = 1.0,
 
 def write_capacity_csv(rows, path):
     """Write sweep rows as `lambda,gamma,N,Q,p0,...,pN,converged` (17 digits)."""
-    width = max(len(r.pvec) for r in rows)
+    width = max((len(r.pvec) for r in rows), default=0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["lambda", "gamma", "N", "Q"]

@@ -16,7 +16,7 @@ import numpy as np
 from . import channel
 from .algebra import (ChannelParams, _fit_dim, build_annihilator,
                       build_creator, build_k0, hamiltonian_identity_residual)
-from .errors import SingularityError
+from .errors import DomainError, SingularityError
 from .kernel import kernel_entry, kernel_matrix
 from .oracle import kernel_oracle_table
 
@@ -225,8 +225,10 @@ def run_validation(max_dim: int = 6, tol: float | None = None,
     """Run the named suites (default: all) and collect a report.
 
     tol=None uses each suite's own default tolerance; an explicit tol
-    replaces all of them.
+    replaces all of them.  max_dim < 1 is refused with DomainError.
     """
+    if max_dim < 1:
+        raise DomainError(f"max_dim must be >= 1, got {max_dim}")
     names = list(_SUITES) if suites is None else list(suites)
     results = []
     for name in names:

@@ -178,26 +178,79 @@ def test_uncertified_ascents_run_every_start_and_keep_the_best(monkeypatch):
 
 
 def test_failed_newton_trial_is_discarded(monkeypatch):
-    """A Newton trial that does not certify leaves the mirror ascent where it
-    was; the ascent and its last polish still certify the same optimum."""
+    """A Newton step that is not kept hands its round to a mirror step; the
+    ascent goes on from there and certifies the same optimum."""
     p = ChannelParams(gamma=0.25, lam=0.5, omega=1.0)
     want = optimize_capacity(p, 2, starts=0)
     calls = []
-    polish = capacity_module._newton_polish
+    newton = capacity_module._newton_step
 
-    def first_fails(pv, K, tol, shift=None, **kwargs):
+    def first_fails(*args, **kwargs):
         calls.append(len(calls))
-        if len(calls) == 1:
-            pv = np.asarray(pv) / np.sum(pv)
-            return pv, capacity_module._objective_and_gradient(pv, K, shift)[0], np.inf
-        return polish(pv, K, tol, shift, **kwargs)
+        return None if len(calls) == 1 else newton(*args, **kwargs)
 
-    monkeypatch.setattr(capacity_module, "_newton_polish", first_fails)
+    monkeypatch.setattr(capacity_module, "_newton_step", first_fails)
     res = optimize_capacity(p, 2, starts=0)
     assert len(calls) >= 2
+    assert res.J_trace[1] != want.J_trace[1]  # the first kept step is a mirror step
     assert res.converged
     assert res.kkt_residual < 1e-9
     assert res.Q == pytest.approx(want.Q, rel=0, abs=1e-12)
+
+
+@pytest.fixture
+def evals(monkeypatch):
+    """Count objective evaluations through the hook perfbench counts."""
+    calls = []
+    objective = capacity_module._objective_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(capacity_module, "_objective_and_gradient", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lam,gamma,N", [(0.2, 8.0, 3), (1.0, 4.0, 4)])
+def test_strong_dephasing_certifies_from_the_uniform_start(lam, gamma, N, ascents, evals):
+    """Mirror steps alone walked these optima in by J increments below one
+    ulp: 13,916 and 15,630 objective evaluations; Newton steps judged on J
+    take a few dozen."""
+    res = optimize_capacity(ChannelParams(gamma=gamma, lam=lam, omega=1.0), N)
+    assert res.converged
+    assert len(ascents) == 1
+    assert 0 < len(evals) <= 100
+
+
+def test_full_space_ascent_ends_on_its_own_stop_rule(evals):
+    """The full lam=-0.1 space (21 levels) is not certified at gamma=4, so
+    the ascent ends on the stall rule; reopening every starved level at
+    once cycled there until max_iter (100k rounds)."""
+    res = optimize_capacity(ChannelParams(gamma=4.0, lam=-0.1, omega=1.0), 20, starts=0)
+    assert 0 < len(evals) <= 1000
+    assert len(res.J_trace) <= 1000
+    assert res.Q >= 2.4057416461712 - 1e-12
+
+
+@pytest.mark.parametrize("lam,gamma,N", [(-0.25, 4.0, 8), (-0.1, 1.0, 20)])
+def test_certified_full_space_stops_after_certifying(lam, gamma, N, evals):
+    """Once certified, the first mirror step that does not raise J ends the
+    ascent; mirror steps run on to the stall rule took 141 and 139
+    evaluations here (15 and 26 with the stop)."""
+    res = optimize_capacity(ChannelParams(gamma=gamma, lam=lam, omega=1.0), N, starts=0)
+    assert res.converged
+    assert 0 < len(evals) <= 60
+
+
+def test_last_newton_step_is_kept_through_rounding_in_J():
+    """J is resolved only to a few 1e-15 here: the Newton step from KKT
+    residual 3.4e-9 lands on residual 0 while J reads 2e-15 lower, and a
+    1e-15 band on J turned it away and left the point uncertified."""
+    p = ChannelParams(gamma=1.9564349007242192, lam=-0.584729215488122, omega=1.0)
+    res = optimize_capacity(p, 2, starts=0)
+    assert res.converged
+    assert res.kkt_residual < 1e-12
 
 
 @pytest.mark.parametrize("lam,gamma", [(0.5, 0.25), (0.0, 1.25)])
@@ -227,6 +280,16 @@ def test_exhaustive_small_n_only():
             exhaustive_capacity(p, 1, step=step)
 
 
+def test_menu_of_the_wrong_length_is_refused():
+    """Like optimize_capacity, the two other menu entry points refuse a menu
+    that does not hold one level per weight, before numpy broadcasts."""
+    p = ChannelParams(gamma=1.0, lam=0.0, omega=1.0)
+    with pytest.raises(DomainError, match="menu has 3 levels"):
+        coherent_information([0.5, 0.5], p, indices=[0, 1, 2])
+    with pytest.raises(DomainError, match="menu has 2 levels"):
+        exhaustive_capacity(p, 2, indices=[0, 1])
+
+
 def test_capacity_bounds_hold(rng):
     for _ in range(4):
         lam = rng.uniform(-0.3, 0.8)
@@ -254,6 +317,27 @@ class TestEnergyConstraint:
         assert capped.active_energy_constraint
         assert capped.Q < free.Q
         assert float(capped.pvec @ eps) <= budget + 1e-9
+
+    def test_capped_optimum_at_a_noisy_J_matches_a_tighter_solve(self):
+        """Where J is resolved only to a few 1e-15, a 1e-15 band on J turns
+        the last Newton steps of the bisection's solves away, and this call
+        ended 1.0e-12 short of the tol=1e-12 solve (4e-16 with the band)."""
+        p = ChannelParams(gamma=0.5, lam=0.0, omega=1.0)
+        cap = EnergyConstraint(1.2)
+        res = optimize_capacity(p, 3, constraint=cap)
+        tight = optimize_capacity(p, 3, constraint=cap, tol=1e-12)
+        assert res.converged and tight.converged
+        assert res.Q == pytest.approx(tight.Q, rel=0, abs=4.7e-13)
+
+    def test_nan_budget_is_refused(self):
+        with pytest.raises(DomainError, match="nan"):
+            EnergyConstraint(float("nan"))
+
+    def test_infinite_budget_is_unconstrained(self):
+        p = ChannelParams(gamma=1.0, lam=0.0, omega=1.0)
+        capped = optimize_capacity(p, 2, constraint=EnergyConstraint(float("inf")))
+        assert not capped.active_energy_constraint
+        assert capped.Q == optimize_capacity(p, 2).Q
 
     def test_capped_optimum_matches_a_tighter_solve(self):
         """The bisection warm-starts each solve from the last one, so the
@@ -357,3 +441,8 @@ class TestSweep:
         lines = a.read_text().strip().splitlines()
         assert lines[0].startswith("lambda,gamma,N,Q,p0")
         assert len(lines) == 5
+
+    def test_empty_sweep_writes_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_capacity_csv(capacity_sweep([0.0], [], [2]), path)
+        assert path.read_text() == "lambda,gamma,N,Q,converged\n"

@@ -151,6 +151,18 @@ def test_validate_fails_under_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("max_dim", ["0", "-3"])
+def test_validate_refuses_an_empty_dimension(max_dim, capsys):
+    assert main(["validate", "--max-dim", max_dim]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: max_dim must be >= 1, got {max_dim}\n"
+
+
+def test_validate_runs_at_dimension_one(capsys):
+    assert main(["validate", "--max-dim", "1"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 class TestExitCodes:
     def test_domain_error_is_2(self, tmp_path):
         code = main(["kernel-map", "--lambda-steps", "0",
@@ -162,6 +174,13 @@ class TestExitCodes:
             code = main(["capacity", "--N", "1", "--lambda", "0",
                          "--gamma-grid", grid, "--out", str(tmp_path / "x.csv")])
             assert code == 2, grid
+
+    def test_nan_energy_is_2(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(["capacity", "--N", "2", "--lambda", "0", "--gamma-grid", "1",
+                     "--energy", "nan", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_dimension_error_is_3(self, tmp_path):
         path = _write_state(tmp_path / "big.json", 7, np.eye(7) / 7)
