@@ -146,15 +146,18 @@ def _fit_dim(p: ChannelParams, requested):
     return bound if requested is None else min(requested, bound)
 
 
+def _annihilator_band(p: ChannelParams, dim: int) -> np.ndarray:
+    """The superdiagonal of A on dim levels: sqrt(n) f(n) for n = 1 .. dim-1."""
+    n = np.arange(1, dim)
+    return np.sqrt(n * np.maximum(1.0 + p.y * n, 0.0))  # boundary state may give exactly 0
+
+
 def build_annihilator(p: ChannelParams, dim: int) -> TruncatedOperator:
     """Deformed annihilator A = a f(n): entry (n-1, n) = sqrt(n) f(n), others 0."""
     _check_dim(p, dim)
-    n = np.arange(dim)
-    f2 = np.maximum(1.0 + p.y * n, 0.0)  # boundary state may give exactly 0
     a = np.zeros((dim, dim))
-    if dim > 1:
-        k = np.arange(1, dim)
-        a[k - 1, k] = np.sqrt(k * f2[1:])
+    k = np.arange(1, dim)
+    a[k - 1, k] = _annihilator_band(p, dim)
     return TruncatedOperator(dim, a)
 
 

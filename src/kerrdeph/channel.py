@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
-from .algebra import (ChannelParams, _check_dim, _fit_dim, build_annihilator,
-                      build_k0, max_dimension)
+from .algebra import (ChannelParams, _annihilator_band, _check_dim, _fit_dim,
+                      build_annihilator, build_k0, max_dimension)
 from .errors import (DimensionError, DomainError, InvalidStateError,
                      SingularityError, TruncationError)
 from .kernel import (_coherent_table, _log_amplitudes, _sized_log_amplitudes,
@@ -37,6 +37,15 @@ __all__ = [
     "verify_gaussian_decomposition",
     "phase_covariance_residual",
 ]
+
+# Largest truncation the coherent input and the Gaussian check grow to.
+_LEVEL_CAP = 4096
+# The Gaussian check's buffered corner counts as settled once a doubling
+# moves it by at most this: four orders below the suite's 1e-8 tolerance,
+# and above the 1e-15 - 3e-14 by which rungs differ once the cutoff no
+# longer reaches the corner (dim <= 20, up to 1920 levels).
+_CORNER_SETTLED = 1e-12
+
 
 def _certified_psd(h: np.ndarray) -> bool:
     """True when a Cholesky factorization proves eigvalsh(h).min() >= -1e-10.
@@ -308,7 +317,7 @@ def _coherent_input(alpha: complex, p: ChannelParams, dim: int | None) -> Densit
     if p.lam < 0:
         la = _log_amplitudes(0.0, [r], d)
     else:
-        la, _ = _sized_log_amplitudes(0.0, [r], 1e-10, 4096, d, f"|alpha|={r:.3g}")
+        la, _ = _sized_log_amplitudes(0.0, [r], 1e-10, _LEVEL_CAP, d, f"|alpha|={r:.3g}")
     la = la[:, 0]
     # scaled by the largest amplitude first, so that no projection underflows
     c = np.exp(la - la.max() + 1j * np.angle(alpha) * np.arange(len(la)))
@@ -352,11 +361,23 @@ def verify_gaussian_decomposition(beta: complex, p: ChannelParams, dim: int,
                                   buffer: int = 50) -> float:
     """Max-abs residual of the decomposition identity on a dim x dim corner.
 
-    lam > 0: both sides are built on a buffered space (dim + buffer) and
-    compared on the corner, since a hard cutoff pollutes the edge rows of
-    the two sides differently.  lam < 0: requires integer 2*omega/|lam| and
-    verifies on the closed su(2) block (the algebra closes there exactly;
-    the boundary f=0 state, when present, is not in the block).
+    Right-hand side: exp(zeta A^dag) is lower triangular, exp(ln(zeta0) K0)
+    diagonal and exp(-zeta* A) upper triangular, so the leading dim x dim
+    block of their product is the product of their leading blocks, and each
+    block is the exponential of the same operator on dim levels.  That
+    corner is exact at any truncation, so this side needs no buffer.
+
+    Left-hand side: beta A^dag - beta* A = Q (-i|beta| T) Q^H with T = A + A^T
+    real symmetric tridiagonal and Q = diag((i beta/|beta|)^n) unitary, so
+    the corner is (QV)[:dim] exp(-i|beta| theta) (QV)[:dim]^H from the
+    eigensystem (theta, V) of T (Higham, Functions of Matrices, ch. 10).
+    A cutoff pollutes this side's corner.  lam > 0: T is taken on 2L, 4L,
+    ... levels, L = max(dim, ceil((dim + buffer)/2)) so that the first is
+    at least dim + buffer, until the corner moves by at most
+    _CORNER_SETTLED from the rung below; TruncationError when the next
+    rung would pass _LEVEL_CAP levels.  lam < 0: requires integer
+    2*omega/|lam| and takes the closed su(2) block, where the algebra
+    closes exactly (the boundary f=0 state, when present, is not in it).
     """
     lambda_alg = 2.0 * p.y
     zeta, zeta0 = gaussian_decomposition(beta, lambda_alg)
@@ -370,16 +391,37 @@ def verify_gaussian_decomposition(beta: complex, p: ChannelParams, dim: int,
         M = int(round(M))
         if dim > M:
             raise DimensionError(f"corner dim {dim} exceeds the closed block (dim {M})")
-        D = M
-    else:
-        D = dim + buffer
-    a = build_annihilator(p, D).entries
-    ad = a.T
-    k0 = build_k0(p, D).entries
+    a = build_annihilator(p, dim).entries
+    k0 = np.diag(build_k0(p, dim).entries)
+    rhs = (expm(zeta * a.T) * np.exp(math.log(zeta0) * k0)) @ expm(-np.conj(zeta) * a)
     beta = complex(beta)
-    lhs = expm(beta * ad - np.conj(beta) * a)
-    rhs = expm(zeta * ad) @ expm(math.log(zeta0) * k0) @ expm(-np.conj(zeta) * a)
-    return float(np.abs((lhs - rhs)[:dim, :dim]).max())
+    if p.lam < 0:
+        lhs = _displacement_corner(beta, p, dim, M)
+    else:
+        levels = max(dim, (dim + buffer + 1) // 2)
+        lhs, change = _displacement_corner(beta, p, dim, levels), math.inf
+        while change > _CORNER_SETTLED:
+            levels *= 2
+            if levels > _LEVEL_CAP:
+                raise TruncationError(
+                    f"the {dim}x{dim} corner of exp(beta A^dag - beta* A) at "
+                    f"beta={beta:.6g} still moved by {change:.1e} at "
+                    f"{levels // 2} levels (cap {_LEVEL_CAP})"
+                )
+            corner = _displacement_corner(beta, p, dim, levels)
+            change = float(np.abs(corner - lhs).max())
+            lhs = corner
+    return float(np.abs(lhs - rhs).max())
+
+
+def _displacement_corner(beta: complex, p: ChannelParams, dim: int,
+                         levels: int) -> np.ndarray:
+    """Leading dim x dim block of exp(beta A^dag - beta* A) on `levels` levels."""
+    r = abs(beta)
+    n = np.arange(dim)
+    theta, v = eigh_tridiagonal(np.zeros(levels), _annihilator_band(p, levels))
+    rows = ((1j * beta / r if r else 1j) ** n)[:, None] * v[:dim]
+    return (rows * np.exp(-1j * r * theta)) @ rows.conj().T
 
 
 def phase_covariance_residual(rho, theta: float, p: ChannelParams) -> float:

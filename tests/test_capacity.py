@@ -148,7 +148,8 @@ def test_certified_uniform_start_runs_no_fallback(ascents):
 
 def test_newton_trial_certifies_former_uncertified_point(ascents):
     """At (lam=1, gamma=4, N=4) no ascent used to certify (KKT residual
-    1.3e-4 after all 9); the Newton trial at residual 1e-3 certifies one."""
+    1.3e-4 after all 9); with a Newton step tried in every round the first
+    ascent certifies."""
     res = optimize_capacity(ChannelParams(gamma=4.0, lam=1.0, omega=1.0), 4)
     assert res.converged
     assert res.kkt_residual < 1e-9
@@ -256,7 +257,8 @@ def test_last_newton_step_is_kept_through_rounding_in_J():
 @pytest.mark.parametrize("lam,gamma", [(0.5, 0.25), (0.0, 1.25)])
 def test_newton_trial_ends_the_ascent_early(lam, gamma):
     """Run to the stall rule, these README sweep points took 335 and 319
-    mirror steps; the Newton trial at residual 1e-3 ends them in about 13."""
+    mirror steps; with a Newton step tried in every round the ascent ends
+    within 40 kept steps."""
     res = optimize_capacity(ChannelParams(gamma=gamma, lam=lam, omega=1.0), 2)
     assert res.converged
     assert len(res.J_trace) <= 40
@@ -340,10 +342,10 @@ class TestEnergyConstraint:
         assert capped.Q == optimize_capacity(p, 2).Q
 
     def test_capped_optimum_matches_a_tighter_solve(self):
-        """The bisection warm-starts each solve from the last one, so the
-        polish must go past tol: mirror steps up to the stall rule and a
-        polish that stopped at tol left this call 9.4e-11 short of the
-        tol=1e-12 solve."""
+        """The bisection warm-starts each solve from the last one, so each
+        ascent must run past tol (to tol * _POLISH_DEPTH): ascents that
+        stopped at tol left this call 9.4e-11 short of the tol=1e-12
+        solve."""
         p = ChannelParams(gamma=1.0, lam=-0.4, omega=1.0)
         cap = EnergyConstraint(0.5)
         res = optimize_capacity(p, 3, constraint=cap)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from kerrdeph import (
     ChannelParams,
@@ -397,6 +398,81 @@ class TestGaussianDecomposition:
     def test_matrix_identity(self, lam, beta):
         p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
         assert verify_gaussian_decomposition(beta, p, dim=8) < 1e-8
+
+    @pytest.mark.parametrize("lam, beta, dim", [(1.0, 2.0, 8), (1.0, 2.0, 6),
+                                                (3.0, 1.5, 8)])
+    def test_buffer_grows_until_the_corner_settles(self, lam, beta, dim):
+        """A fixed 50-level buffer read 6.9e-7, 2.4e-9 and 2.3e-2 here: the
+        cutoff, not the identity, was off."""
+        p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
+        assert verify_gaussian_decomposition(beta, p, dim) <= 1e-13
+
+    def test_refuses_a_corner_that_moves_at_the_cap(self, monkeypatch):
+        # 29, 58, 116 levels fit under a 128-level cap; at 116 the corner
+        # still moves by about 2e-2
+        monkeypatch.setattr(channel_module, "_LEVEL_CAP", 128)
+        p = ChannelParams(gamma=1.0, lam=3.0, omega=1.0)
+        with pytest.raises(TruncationError, match=r"still moved by .* at 116 levels \(cap 128\)"):
+            verify_gaussian_decomposition(1.5, p, 8)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, -0.2, -0.5])
+    def test_corner_route_matches_the_dense_exponentials(self, lam):
+        """Reference: both sides as dense exponentials on the buffered space
+        (8 + 50 levels for lam > 0, the closed block for lam < 0), compared
+        on the corner.  Wherever that reference is at rounding level
+        (<= 1e-13) the corner route agrees with it to 1e-13.  lam = -0.5 has
+        a 4-level closed block, so only dim 3 fits there."""
+        p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
+        D = round(2.0 * p.omega / abs(lam)) if lam < 0 else 8 + 50
+        dims = [d for d in (3, 6, 8) if d <= D]
+        a = channel_module.build_annihilator(p, D).entries
+        k0 = channel_module.build_k0(p, D).entries
+        compared = 0
+        for beta in (0.0, 0.3, 0.7 * np.exp(0.7j), 1.0, -0.9, 0.8j):
+            zeta, zeta0 = gaussian_decomposition(beta, 2.0 * p.y)
+            lhs = expm(beta * a.T - np.conj(beta) * a)
+            rhs = expm(zeta * a.T) @ expm(math.log(zeta0) * k0) @ expm(-np.conj(zeta) * a)
+            for dim in dims:
+                reference = float(np.abs((lhs - rhs)[:dim, :dim]).max())
+                if reference <= 1e-13:
+                    compared += 1
+                    residual = verify_gaussian_decomposition(beta, p, dim)
+                    assert abs(residual - reference) <= 1e-13, (beta, dim)
+        assert compared == 6 * len(dims)
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0, -0.2])
+    def test_right_side_corner_is_the_product_of_corners(self, lam):
+        """exp(zeta A^dag) is lower and exp(-zeta* A) upper triangular, so the
+        corner of the buffered product is the product on dim levels."""
+        p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
+        D = 10 if lam < 0 else 58
+
+        def product(beta, levels):
+            zeta, zeta0 = gaussian_decomposition(beta, 2.0 * p.y)
+            a = channel_module.build_annihilator(p, levels).entries
+            k0 = channel_module.build_k0(p, levels).entries
+            return expm(zeta * a.T) @ expm(math.log(zeta0) * k0) @ expm(-np.conj(zeta) * a)
+
+        for beta in (0.3, 0.7 * np.exp(0.7j), 1.5):
+            full = product(beta, D)
+            for dim in (3, 6, 8):
+                np.testing.assert_allclose(full[:dim, :dim], product(beta, dim),
+                                           rtol=0, atol=1e-13)
+
+
+def test_gaussian_check_exponentiates_only_the_corner(monkeypatch):
+    """Only the dim x dim right-hand factors go through expm; the buffered
+    left-hand side is a tridiagonal eigenproblem."""
+    shapes = []
+
+    def recording_expm(m):
+        shapes.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(channel_module, "expm", recording_expm)
+    for beta in (0.3, 0.7 * np.exp(0.7j), 1.0):
+        assert verify_gaussian_decomposition(beta, ChannelParams(1, .5), 6) < 1e-13
+    assert shapes and all(s[0] <= 6 and s[1] <= 6 for s in shapes), shapes
 
 
 @pytest.mark.parametrize("lam", [-0.4, 0.0, 0.4])

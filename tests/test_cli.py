@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kerrdeph.cli import _ENTRIES, _report_text, main
+from kerrdeph.validate import SuiteResult, ValidationReport
 
 
 def _write_state(path, dim, matrix):
@@ -161,6 +162,20 @@ def test_validate_refuses_an_empty_dimension(max_dim, capsys):
 def test_validate_runs_at_dimension_one(capsys):
     assert main(["validate", "--max-dim", "1"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_worst_case_moves_only_past_the_rounding_floor():
+    """max_residual is the true maximum; the label stays on the first case
+    while later residuals beat it only at rounding level."""
+    suite = SuiteResult("s", 1e-8)
+    suite.record(1.0e-15, "first")
+    suite.record(2.6e-15, "second")
+    assert (suite.worst_case, suite.max_residual) == ("first", 2.6e-15)
+    assert "worst s: first (1.000e-15)" in ValidationReport([suite]).to_text()
+    suite = SuiteResult("s", 1e-8)
+    suite.record(1e-15, "first")
+    suite.record(1e-9, "second")
+    assert (suite.worst_case, suite.max_residual) == ("second", 1e-9)
 
 
 class TestExitCodes:
