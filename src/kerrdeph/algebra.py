@@ -119,11 +119,8 @@ def max_dimension(p: ChannelParams):
 
 def _check_dim(p: ChannelParams, dim: int, name: str = "dim") -> None:
     """Raise DimensionError unless 1 <= dim <= the lam<0 space."""
-    if dim < 1:
-        raise DimensionError(f"{name} must be >= 1, got {dim}")
-    bound = max_dimension(p)
-    if bound is not None and dim > bound:
-        raise DimensionError(f"{name} {dim} exceeds the lam<0 space (dim {bound})")
+    if _fit_dim(p, dim, name) != dim:
+        raise DimensionError(f"{name} {dim} exceeds the lam<0 space (dim {max_dimension(p)})")
 
 
 def _check_index(n, p: ChannelParams) -> None:
@@ -137,28 +134,29 @@ def _check_index(n, p: ChannelParams) -> None:
         )
 
 
-def _fit_dim(p: ChannelParams, requested):
+def _fit_dim(p: ChannelParams, requested, name: str = "dim"):
     """requested cut to the lam<0 space; None asks for the whole space (None
-    again for lam >= 0, where the space is unbounded)."""
+    again for lam >= 0, where the space is unbounded).  DimensionError for a
+    requested size below 1."""
+    if requested is not None and requested < 1:
+        raise DimensionError(f"{name} must be >= 1, got {requested}")
     bound = max_dimension(p)
     if bound is None:
         return requested
     return bound if requested is None else min(requested, bound)
 
 
-def _annihilator_band(p: ChannelParams, dim: int) -> np.ndarray:
-    """The superdiagonal of A on dim levels: sqrt(n) f(n) for n = 1 .. dim-1."""
+def _annihilator_band(y: float, dim: int) -> np.ndarray:
+    """The superdiagonal of A on dim levels, sqrt(n) f(n) for n = 1 .. dim-1,
+    at deformation ratio y: also the couplings of B + B^dag."""
     n = np.arange(1, dim)
-    return np.sqrt(n * np.maximum(1.0 + p.y * n, 0.0))  # boundary state may give exactly 0
+    return np.sqrt(n * np.maximum(1.0 + y * n, 0.0))  # boundary state may give exactly 0
 
 
 def build_annihilator(p: ChannelParams, dim: int) -> TruncatedOperator:
     """Deformed annihilator A = a f(n): entry (n-1, n) = sqrt(n) f(n), others 0."""
     _check_dim(p, dim)
-    a = np.zeros((dim, dim))
-    k = np.arange(1, dim)
-    a[k - 1, k] = _annihilator_band(p, dim)
-    return TruncatedOperator(dim, a)
+    return TruncatedOperator(dim, np.diag(_annihilator_band(p.y, dim), 1))
 
 
 def build_creator(p: ChannelParams, dim: int) -> TruncatedOperator:

@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import expm
 
-from .algebra import (ChannelParams, _annihilator_band, _check_dim, _fit_dim,
-                      build_annihilator, build_k0, max_dimension)
+from ._jacobi import _leading_rows
+from .algebra import (ChannelParams, _check_dim, _fit_dim, build_annihilator,
+                      build_k0, max_dimension)
 from .errors import (DimensionError, DomainError, InvalidStateError,
                      SingularityError, TruncationError)
 from .kernel import (_coherent_table, _log_amplitudes, _sized_log_amplitudes,
@@ -309,8 +310,6 @@ def coherent_input_output(alpha: complex, p: ChannelParams,
 
 def _coherent_input(alpha: complex, p: ChannelParams, dim: int | None) -> DensityMatrix:
     """The cut and renormalized coherent input of coherent_input_output."""
-    if dim is not None and dim < 1:
-        raise DimensionError(f"dim must be >= 1, got {dim}")
     alpha = complex(alpha)
     r = abs(alpha)
     d = _fit_dim(p, dim)
@@ -370,7 +369,8 @@ def verify_gaussian_decomposition(beta: complex, p: ChannelParams, dim: int,
     Left-hand side: beta A^dag - beta* A = Q (-i|beta| T) Q^H with T = A + A^T
     real symmetric tridiagonal and Q = diag((i beta/|beta|)^n) unitary, so
     the corner is (QV)[:dim] exp(-i|beta| theta) (QV)[:dim]^H from the
-    eigensystem (theta, V) of T (Higham, Functions of Matrices, ch. 10).
+    nodes theta of T and the first dim rows of its eigenvectors V (Higham,
+    Functions of Matrices, ch. 10), both from _jacobi without forming V.
     A cutoff pollutes this side's corner.  lam > 0: T is taken on 2L, 4L,
     ... levels, L = max(dim, ceil((dim + buffer)/2)) so that the first is
     at least dim + buffer, until the corner moves by at most
@@ -416,12 +416,16 @@ def verify_gaussian_decomposition(beta: complex, p: ChannelParams, dim: int,
 
 def _displacement_corner(beta: complex, p: ChannelParams, dim: int,
                          levels: int) -> np.ndarray:
-    """Leading dim x dim block of exp(beta A^dag - beta* A) on `levels` levels."""
+    """Leading dim x dim block of exp(beta A^dag - beta* A) on `levels` levels:
+    a node theta >= 0 and its mirror -theta add V_j V_l (e^{-i r theta} +
+    (-1)^{j+l} e^{i r theta}) to entry (j, l) before Q.  For lam < 0 the
+    levels are the closed block, whose couplings are mirror-symmetric."""
     r = abs(beta)
     n = np.arange(dim)
-    theta, v = eigh_tridiagonal(np.zeros(levels), _annihilator_band(p, levels))
-    rows = ((1j * beta / r if r else 1j) ** n)[:, None] * v[:dim]
-    return (rows * np.exp(-1j * r * theta)) @ rows.conj().T
+    theta, rows = _leading_rows(p.y, levels, dim, mirrored=p.lam < 0)
+    half = (rows * np.exp(-1j * r * theta)) @ rows.T
+    q = (1j * beta / r if r else 1j) ** n
+    return np.outer(q, q.conj()) * (half + (-1.0) ** np.add.outer(n, n) * half.conj())
 
 
 def phase_covariance_residual(rho, theta: float, p: ChannelParams) -> float:

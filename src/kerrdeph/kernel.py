@@ -448,7 +448,7 @@ def kernel_map(lambdas, gammas, n: int, m: int, omega: float = 1.0):
     rows = []
     for lam_ in lambdas:
         p = ChannelParams(gamma=gammas[0], lam=lam_, omega=omega)
-        top = max(n, m) + 1
+        top = max(n, m, 0) + 1  # >= 1: a negative index is _check_index's to refuse
         fits = _fit_dim(p, top) == top  # (n, m) lie in the lam<0 space
         if min(n, m) < 0:
             _check_index(np.array([n, m]), p)

@@ -7,31 +7,10 @@ analytic convention.
 
 Because A^dag A is diagonal in the Fock basis, U is block-diagonal over the
 system index n, each block the environment exponential
-exp(-i mu_n (B + B^dag)) with mu_n = sqrt(gamma) n (1 + y n).  The
-generator B + B^dag = W diag(theta) W^T is real symmetric tridiagonal with
-zero diagonal and couplings b_k = sqrt(k f(k)^2).  build_unitary is the only
-user of the eigenvector matrix W: it assembles the blocks literally.
-
-Everything else needs only the nodes theta_k and the vacuum weights
-w_k = W[0,k]^2 (Golub & Welsch).  Both are built only on the block the
-vacuum reaches: a coupling that is exactly 0 (the top level of the lam<0
-space at integer 2 omega/|lam|) splits the generator there.  The zero
-diagonal makes the generator, its even and odd levels grouped,
-[[0, C], [C^T, 0]] with C bidiagonal at half the size (Golub & Kahan), so
-the nodes are +-sigma for the singular values sigma of C, and an odd block
-has one node at exactly 0.  dqds (LAPACK dlasq1, through the function
-pointer scipy.linalg.cython_lapack publishes) finds sigma to high relative
-accuracy (Fernando & Parlett); no node is averaged with its mirror.  The
-rows W[j,:] follow from the recurrence v_{j+1} = (theta v_j - b_j v_{j-1})
-/ b_{j+1}, one numpy row per level for all nodes, unnormalised within
-blocks of levels that a growth bound from the couplings keeps from
-overflowing: the weight walk starts from v_0 = 1 and rescales between
-blocks, carrying the log norm; the environment vectors start from
-v_0 = W[0,:].  v_j(-theta) = (-1)^j v_j(theta) gives +-theta equal
-weights, so both walk the nonnegative half of the nodes.  A node whose log
-norm passes 400 has weight exp(-800) == 0.0 and leaves the weight walk;
-the sums below and the environment vectors run over the nodes of nonzero
-weight only (about 350 of 2048 at dim_e = 4096).
+exp(-i mu_n (B + B^dag)) with mu_n = sqrt(gamma) n (1 + y n).  build_unitary
+is the only user of the eigenvector matrix W of B + B^dag: it assembles the
+blocks literally, with its own eigh_tridiagonal.  Everything else takes the
+nodes theta_k, the vacuum weights w_k = W[0,k]^2 and rows of W from _jacobi.
 
 The vacuum columns x_n = U_n |0> have the Gram matrix
 <x_m, x_n> = sum_k w_k exp(i (mu_m - mu_n) theta_k): the kernel oracle is
@@ -51,15 +30,16 @@ d x dim_s factor X, a block of rows at a time; only the returned rung is
 formed as a dense d x d matrix.
 """
 
-import ctypes
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cython_lapack, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
-from .algebra import (ChannelParams, _check_dim, _check_index, _fit_dim,
-                      max_dimension)
+# _env_eigensystem is not called here, but its cache is counted by this name
+from ._jacobi import _env_eigensystem, _env_vectors, _half_spectrum
+from .algebra import (ChannelParams, _annihilator_band, _check_dim, _check_index,
+                      _fit_dim, max_dimension)
 from .errors import ConvergenceError, DimensionError
 from .kernel import CoherentVector, mu
 
@@ -86,25 +66,6 @@ CONV_TOL = 1e-8
 ENV_START = 64
 #: rows of the environment output formed at a time when two rungs are compared
 ROW_BLOCK = 256
-#: a node leaves the weight walk once its log norm passes this; the norm only
-#: grows and exp(-2 * 400) == 0.0, so its weight is exactly 0 either way
-_LOG_NORM_CUT = 400.0
-
-
-def _lapack(name: str, *argtypes):
-    """LAPACK routine `name` from the function pointer scipy.linalg.cython_lapack
-    publishes, as a ctypes function returning nothing."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
-
-
-_INT, _DOUBLE = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-#: dlasq1(n, d, e, work, info): singular values of an n x n bidiagonal by dqds
-_DLASQ1 = _lapack("dlasq1", _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT)
 
 
 @dataclass(frozen=True)
@@ -138,160 +99,6 @@ class OracleKernelValue:
     dim_e: int
     converged: bool
     change: float
-
-
-def _env_dim_for(p: ChannelParams, requested: int | None) -> int:
-    """Forced finite dimension for lam<0, else the requested/cap value."""
-    if requested is not None and requested < 1:
-        raise DimensionError(f"dim_e must be >= 1, got {requested}")
-    d = _fit_dim(p, requested)
-    return ENV_CAP if d is None else d
-
-
-def _couplings(y: float, dim_e: int) -> np.ndarray:
-    """Off-diagonal b_k = sqrt(k f(k)^2), k = 1..dim_e-1, of B + B^dag."""
-    k = np.arange(1, dim_e)
-    return np.sqrt(k * np.maximum(1.0 + y * k, 0.0))
-
-
-def _vacuum_block(y: float, dim_e: int) -> np.ndarray:
-    """Couplings of the block the vacuum reaches: cut at the first zero."""
-    off = _couplings(y, dim_e)
-    zero = np.flatnonzero(off == 0.0)
-    return off[:zero[0]] if zero.size else off
-
-
-def _dqds(d: np.ndarray, e: np.ndarray) -> int:
-    """LAPACK dlasq1 on the bidiagonal with diagonal d and superdiagonal
-    e[:-1] (len(e) == len(d)): d becomes its singular values in decreasing
-    order and e is overwritten.  Returns dlasq1's info, 0 on success."""
-    if not (d.dtype == e.dtype == np.float64 and d.flags.c_contiguous
-            and e.flags.c_contiguous and d.size == e.size >= 1):
-        raise ValueError("dqds takes two contiguous float64 arrays of one length >= 1")
-    work = np.empty(4 * d.size)
-    info = ctypes.c_int(0)
-    _DLASQ1(ctypes.byref(ctypes.c_int(d.size)), d.ctypes.data_as(_DOUBLE),
-            e.ctypes.data_as(_DOUBLE), work.ctypes.data_as(_DOUBLE), ctypes.byref(info))
-    return info.value
-
-
-def _blocks(off: np.ndarray):
-    """Blocks (s, e, [b_{s-1}, ..., b_{e-1}]) of levels v_s .. v_{e-1}.
-
-    Nodes are at most 2 max b (Gershgorin), so level j grows max(|v_j|,
-    |v_{j-1}|) at most max(1, (2 max b + b_j) / b_{j+1}) times: from entries
-    <= 1, a block whose log growth is <= log(max float / n) / 2 keeps every
-    value, and any sum of n squares, finite.
-    """
-    b = np.concatenate(([0.0], off))
-    growth = np.cumsum(np.r_[0.0, np.log(np.maximum(1.0, (2 * b.max() + b[:-1]) / b[1:]))])
-    budget, b, s = 0.5 * np.log(np.finfo(float).max / b.size), b.tolist(), 1
-    while s < len(b):
-        e = max(int(np.searchsorted(growth, growth[s - 1] + budget, side="right")), s + 1)
-        yield s, e, b[s - 1:e]
-        s = e
-
-
-def _levels(carry: np.ndarray, theta: np.ndarray, b: list) -> np.ndarray:
-    """Rows (v_{s-2}, v_{s-1}, v_s, ..., v_{e-1}) from carry = (v_{s-2}, v_{s-1})
-    and b = [b_{s-1}, ..., b_{e-1}], unnormalised, one numpy row per level."""
-    V = np.empty((len(b) + 1, theta.size))
-    V[:2] = carry
-    for prev, cur, nxt, b_prev, b_next in zip(V, V[1:], V[2:], b, b[1:]):
-        np.divide(theta * cur - b_prev * prev, b_next, out=nxt)
-    return V
-
-
-def _weights(theta: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """w = 1 / |v|^2 of the recurrence from v_0 = 1 at each node.
-
-    Each block adds its squares to the log norm, then its last two rows are
-    rescaled to unit norm.  A node whose log norm passes _LOG_NORM_CUT has
-    weight 0.0 either way (the norm only grows) and leaves the walk; the
-    others take the same steps, in the same blocks, as over every node."""
-    w, live, log_norm = np.zeros_like(theta), np.arange(theta.size), np.zeros_like(theta)
-    V = np.stack((np.zeros_like(theta), np.ones_like(theta)))
-    for _, _, b in _blocks(off):
-        V = _levels(V[-2:], theta, b)
-        sq = np.einsum("ij,ij->j", V[2:], V[2:])
-        log_norm += 0.5 * np.log1p(sq)
-        V[-2:] /= np.sqrt(1.0 + sq)
-        if log_norm.max(initial=0.0) > _LOG_NORM_CUT:
-            keep = log_norm <= _LOG_NORM_CUT
-            live, theta, log_norm, V = live[keep], theta[keep], log_norm[keep], V[-2:, keep]
-    w[live] = np.exp(-2.0 * log_norm)
-    return w
-
-
-# entries are O(dim_e), so the ladders (64..4096 is 7 rungs) of several
-# parameter sets stay resident between the calls that share them
-@lru_cache(maxsize=64)
-def _env_eigensystem(y: float, dim_e: int):
-    """Nodes theta_k and vacuum weights w_k = W[0,k]^2 of B + B^dag.
-
-    Both live on the block the vacuum reaches (see _vacuum_block).  The
-    nonnegative nodes are the singular values, from dqds, of the bidiagonal
-    C with b1, b3, ... on its diagonal and b2, b4, ... off it; an odd block
-    gets a trailing 0 on the diagonal, which is the exact middle node 0.
-    The weights come from _weights on that half and are mirrored, as are
-    the nodes.  Read-only, since the cache shares them.  A dqds failure
-    raises ConvergenceError, so no unconverged node is returned.
-    """
-    off = _vacuum_block(y, dim_e)
-    n = off.size + 1
-    d, e = np.zeros((n + 1) // 2), np.zeros((n + 1) // 2)
-    d[:n // 2], e[:(n - 1) // 2] = off[0::2], off[1::2]
-    info = _dqds(d, e)
-    if info != 0:
-        raise ConvergenceError(
-            f"dqds (LAPACK dlasq1) failed with info={info} on the {n}-level "
-            f"vacuum block of the generator (y={y})")
-    pos = d[::-1]
-    w = _weights(pos, off)
-    theta = np.concatenate((-pos[::-1][:n // 2], pos))
-    w = np.concatenate((w[::-1][:n // 2], w))
-    theta.flags.writeable = False
-    w.flags.writeable = False
-    return theta, w
-
-
-def _half_spectrum(y: float, dim_e: int):
-    """Nonnegative nodes of nonzero weight, their weights and multiplicities
-    (2; 1 for a node at 0).  A node of weight 0.0 adds exactly nothing to
-    any sum over the nodes, so it is left out of them."""
-    theta, w = _env_eigensystem(y, dim_e)
-    n = theta.size
-    theta, w = theta[n // 2:], w[n // 2:]
-    mult = np.full(theta.size, 2.0)
-    mult[0] -= n % 2
-    keep = w > 0.0
-    return theta[keep], w[keep], mult[keep]
-
-
-def _env_vectors(y: float, mus, dim_e: int) -> np.ndarray:
-    """Columns exp(-i mu (B+B^dag)) |0>, one per mu, as a (dim_e, len(mus)) array.
-
-    x_j = sum_k W[j,k] W[0,k] exp(-i mu theta_k) over the nonnegative nodes
-    of nonzero weight (see _half_spectrum): a node and its mirror contribute
-    W[j,k] W[0,k] (e^{-i mu theta} + (-1)^j e^{i mu theta}), which holds for
-    complex mu too.  Each block of rows W[j,:] (_levels from v_0 = W[0,:])
-    becomes rows of x in one product per parity of j.  W[0,k]
-    exp(-+i mu theta_k) is formed in logs, so a complex mu neither overflows
-    at far nodes nor magnifies the rounding error of their tiny weights.
-    """
-    theta, w, mult = _half_spectrum(y, dim_e)
-    phase = 1j * np.multiply.outer(theta, np.asarray(mus, dtype=complex))
-    log_w0 = (0.5 * np.log(w) + np.log(0.5 * mult))[:, None]
-    minus, plus = np.exp(log_w0 - phase), np.exp(log_w0 + phase)
-    heads = (minus + plus, minus - plus)  # even rows, odd rows
-    X = np.zeros((dim_e, phase.shape[1]), dtype=complex)
-    V = np.stack((np.zeros_like(w), np.sqrt(w)))
-    X[0] = V[1] @ heads[0]
-    for s, e, b in _blocks(_vacuum_block(y, dim_e)):
-        V = _levels(V[-2:], theta, b)
-        for first, head in zip((s % 2, 1 - s % 2), heads):  # V[2 + first] is v_{s + first}
-            X[s + first:e:2] = (V[2 + first::2] @ head.view(float)).view(complex)
-    return X
 
 
 @lru_cache(maxsize=1024)
@@ -333,7 +140,7 @@ def _ladder(p: ChannelParams, indices, dim_e: int | None, tol: float, evaluate,
     indices = np.asarray(indices)
     if indices.size:
         _check_index(indices, p)
-    cap = _env_dim_for(p, dim_e)
+    cap = _fit_dim(p, dim_e, "dim_e") or ENV_CAP  # None: lam >= 0 without dim_e
 
     if cap == max_dimension(p):
         out = evaluate(cap)
@@ -356,11 +163,6 @@ def _uncertified(p: ChannelParams, d: int, change, tol: float) -> ConvergenceErr
     )
 
 
-def _block(theta: np.ndarray, W: np.ndarray, mu_n: float) -> np.ndarray:
-    """One block of the dilation: exp(-i mu_n (B+B^dag)) from the dense W."""
-    return (W * np.exp(-1j * mu_n * theta)) @ W.T
-
-
 def build_unitary(p: ChannelParams, dim_s: int, dim_e: int) -> UnitaryDilation:
     """Assemble the dense dim_s*dim_e unitary and report its unitarity residual."""
     _check_dim(p, dim_s, "dim_s")
@@ -371,10 +173,10 @@ def build_unitary(p: ChannelParams, dim_s: int, dim_e: int) -> UnitaryDilation:
         )
     D = dim_s * dim_e
     U = np.zeros((D, D), dtype=complex)
-    theta, W = eigh_tridiagonal(np.zeros(dim_e), _couplings(p.y, dim_e))
+    theta, W = eigh_tridiagonal(np.zeros(dim_e), _annihilator_band(p.y, dim_e))
     for n in range(dim_s):
         sl = slice(n * dim_e, (n + 1) * dim_e)
-        U[sl, sl] = _block(theta, W, mu(n, p))
+        U[sl, sl] = (W * np.exp(-1j * mu(n, p) * theta)) @ W.T  # exp(-i mu_n (B+B^dag))
     residual = float(np.abs(U.conj().T @ U - np.eye(D)).max())
     return UnitaryDilation(dim_s=dim_s, dim_e=dim_e, matrix=U, unitarity_residual=residual)
 
@@ -509,7 +311,7 @@ def displacement_apply(mu_value: complex, p: ChannelParams,
     The tail bound is 0 only on the whole finite lam<0 space; a truncated
     environment reports the weight of its top four levels.
     """
-    d = _env_dim_for(p, dim_e)
+    d = _fit_dim(p, dim_e, "dim_e") or ENV_CAP
     amps = _vacuum_column(p.y, complex(mu_value), d)
     tail = 0.0 if d == max_dimension(p) else float(np.sum(np.abs(amps[-4:]) ** 2))
     return CoherentVector(env_dim=d, amplitudes=amps, tail_bound=tail)

@@ -8,7 +8,6 @@ below tolerance; the report renders as text or JSON.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -2,10 +2,11 @@
 Gaussian decomposition, and the validation helpers built on them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from kerrdeph import (
     ChannelParams,
@@ -29,6 +30,7 @@ from kerrdeph import (
     von_neumann_entropy,
 )
 import kerrdeph.channel as channel_module
+from kerrdeph.algebra import _annihilator_band
 from conftest import (eigvalsh_verdict, random_density, random_pure,
                       spectrum_with_min, state_with_spectrum, verdict)
 
@@ -415,16 +417,17 @@ class TestGaussianDecomposition:
         with pytest.raises(TruncationError, match=r"still moved by .* at 116 levels \(cap 128\)"):
             verify_gaussian_decomposition(1.5, p, 8)
 
-    @pytest.mark.parametrize("lam", [0.5, 1.0, -0.2, -0.5])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, -0.2, -0.5, -1.0, -2.0])
     def test_corner_route_matches_the_dense_exponentials(self, lam):
         """Reference: both sides as dense exponentials on the buffered space
         (8 + 50 levels for lam > 0, the closed block for lam < 0), compared
         on the corner.  Wherever that reference is at rounding level
         (<= 1e-13) the corner route agrees with it to 1e-13.  lam = -0.5 has
-        a 4-level closed block, so only dim 3 fits there."""
+        a 4-level closed block, so only dim 3 fits there; the smallest
+        blocks (lam = -1, -2: 2 and 1 levels) are compared at dims 1-2."""
         p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
         D = round(2.0 * p.omega / abs(lam)) if lam < 0 else 8 + 50
-        dims = [d for d in (3, 6, 8) if d <= D]
+        dims = [d for d in ((3, 6, 8) if D > 2 else (1, 2)) if d <= D]
         a = channel_module.build_annihilator(p, D).entries
         k0 = channel_module.build_k0(p, D).entries
         compared = 0
@@ -473,6 +476,58 @@ def test_gaussian_check_exponentiates_only_the_corner(monkeypatch):
     for beta in (0.3, 0.7 * np.exp(0.7j), 1.0):
         assert verify_gaussian_decomposition(beta, ChannelParams(1, .5), 6) < 1e-13
     assert shapes and all(s[0] <= 6 and s[1] <= 6 for s in shapes), shapes
+
+
+def _eigh_corner(beta, p, dim, levels):
+    """The left-hand corner from eigh_tridiagonal's dense eigenvector matrix."""
+    theta, W = eigh_tridiagonal(np.zeros(levels), _annihilator_band(p.y, levels))
+    rows = ((1j * beta / abs(beta)) ** np.arange(dim))[:, None] * W[:dim]
+    return (rows * np.exp(-1j * abs(beta) * theta)) @ rows.conj().T
+
+
+@pytest.mark.parametrize("lam, dim, levels", [(-0.02, 20, 100), (-0.02, 50, 100),
+                                              (-0.02, 100, 100), (-2 / 101, 101, 101),
+                                              (-0.01, 200, 200), (0.5, 300, 600),
+                                              (3.0, 20, 1024)])
+def test_displacement_corner_matches_the_eigenvector_matrix(lam, dim, levels):
+    """The left-hand corner where its rows reach nodes of underflowing vacuum
+    weight (200 of 300 at lam = 0.5) and, in a closed lam < 0 block, the
+    middle and the mirrored half.  Rows from v_0 = sqrt(w) alone were off by
+    37 and 0.12 at lam = -0.01 and 0.5.  At lam = 3 nodes leave the row walk
+    past row dim (512 to 349)."""
+    p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
+    for beta in (0.3, 1.0, 0.7 * np.exp(0.7j)):
+        corner = channel_module._displacement_corner(beta, p, dim, levels)
+        np.testing.assert_allclose(corner, _eigh_corner(beta, p, dim, levels), rtol=0, atol=1e-12)
+
+
+def test_unsettled_corner_is_refused_in_linear_memory():
+    """The rows of the corner come from the three-term recurrence, so a
+    corner that never settles climbs to 2240 levels holding O(levels)
+    arrays; a dense eigenvector matrix peaked at 77 MiB here."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match=r"^the 20x20 corner of exp\(beta A\^dag "
+                           r"- beta\* A\) at beta=3\+0j still moved by 8\.5e-08 at 2240 "
+                           r"levels \(cap 4096\)$"):
+            verify_gaussian_decomposition(3.0, ChannelParams(1, 3), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_large_closed_block_in_linear_memory():
+    """lam = -2.5e-4 closes at M = 8000 levels, whose dense eigenvector
+    matrix alone is 488 MiB."""
+    tracemalloc.start()
+    try:
+        residual = verify_gaussian_decomposition(0.5, ChannelParams(1, -2.5e-4), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak <= 32 * 2**20
 
 
 @pytest.mark.parametrize("lam", [-0.4, 0.0, 0.4])

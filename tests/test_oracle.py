@@ -28,7 +28,8 @@ from kerrdeph import (
     kernel_oracle_table,
     max_dimension,
 )
-from kerrdeph import oracle
+from kerrdeph import _jacobi, oracle
+from kerrdeph.algebra import _annihilator_band
 from conftest import random_density
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "kernel_oracle_reference.csv"
@@ -121,7 +122,7 @@ def test_truncated_negative_branch_is_certified_by_the_ladder_alone():
 
 def _first_row_weights(y, dim_e):
     """Nodes and W[0,:]^2 of B + B^dag from the dense eigenvector matrix."""
-    theta, W = eigh_tridiagonal(np.zeros(dim_e), oracle._couplings(y, dim_e))
+    theta, W = eigh_tridiagonal(np.zeros(dim_e), _annihilator_band(y, dim_e))
     return theta, W[0, :] ** 2, W
 
 
@@ -185,7 +186,7 @@ def test_nodes_match_a_forty_digit_sturm_bisection(y, dim_e):
     within 1e-14 relative of a 40-digit bisection bracketed around each
     float node, and within eigvalsh_tridiagonal's 64 eps ||J||."""
     theta, _ = oracle._env_eigensystem(y, dim_e)
-    off = oracle._vacuum_block(y, dim_e)
+    off = _jacobi._vacuum_block(y, dim_e)
     n = theta.size
     assert n == off.size + 1
     with decimal.localcontext(decimal.Context(prec=40)):
@@ -221,10 +222,10 @@ def test_weight_walk_drops_only_weightless_nodes(y, dim_e):
     theta, w = oracle._env_eigensystem(y, dim_e)
     n = theta.size
     pos = theta[n // 2:]
-    off = oracle._vacuum_block(y, dim_e)
+    off = _jacobi._vacuum_block(y, dim_e)
     b = [0.0] + off.tolist()
     carry, log_norm = np.stack((np.zeros_like(pos), np.ones_like(pos))), np.zeros_like(pos)
-    for s, e, _ in oracle._blocks(off):
+    for s, e, _ in _jacobi._blocks(off):
         V = np.vstack((carry, np.empty((e - s, pos.size))))
         for i in range(e - s):
             V[i + 2] = (pos * V[i + 1] - b[s - 1 + i] * V[i]) / b[s + i]
@@ -232,7 +233,7 @@ def test_weight_walk_drops_only_weightless_nodes(y, dim_e):
         log_norm += 0.5 * np.log1p(sq)
         carry = V[-2:] / np.sqrt(1.0 + sq)
     np.testing.assert_array_equal(w[n // 2:], np.exp(-2.0 * log_norm))
-    dropped = log_norm > oracle._LOG_NORM_CUT
+    dropped = log_norm > _jacobi._LOG_NORM_CUT
     assert dropped.any() and (w[n // 2:][dropped] == 0.0).all()
 
     h_theta, h_w, mult = oracle._half_spectrum(y, dim_e)
@@ -275,7 +276,7 @@ def test_blocked_weights_against_a_forty_digit_recurrence(y, dim_e):
     theta, w = oracle._env_eigensystem(y, dim_e)
     n = theta.size
     pos, w = theta[n // 2:], w[n // 2:]
-    off = oracle._vacuum_block(y, dim_e)
+    off = _jacobi._vacuum_block(y, dim_e)
     live = np.flatnonzero(w > 0.0)
     nodes = live[np.linspace(0, live.size - 1, 40).round().astype(int)]
     exact = np.array([_forty_digit_weight(pos[k], off) for k in nodes])
@@ -294,14 +295,14 @@ def test_blocked_walk_stays_finite_at_the_fastest_growth(y, dim_e, monkeypatch):
     """No unnormalised block overflows, not even in its sum of squares at
     the nodes that leave the walk: the weights are finite and sum to 1, and
     the vacuum columns of real mu have unit norm."""
-    levels = oracle._levels
+    levels = _jacobi._levels
 
     def checked_levels(*args):
         V = levels(*args)
         assert np.isfinite(np.einsum("ij,ij->j", V, V)).all()
         return V
 
-    monkeypatch.setattr(oracle, "_levels", checked_levels)
+    monkeypatch.setattr(_jacobi, "_levels", checked_levels)
     theta, w = oracle._env_eigensystem.__wrapped__(y, dim_e)
     assert np.isfinite(w).all() and (w >= 0.0).all()
     np.testing.assert_array_equal(w, oracle._env_eigensystem(y, dim_e)[1])
@@ -313,7 +314,7 @@ def test_blocked_walk_stays_finite_at_the_fastest_growth(y, dim_e, monkeypatch):
 
 def test_unconverged_dqds_is_a_typed_refusal(monkeypatch):
     """A dqds failure names the block and y; no unconverged node comes back."""
-    monkeypatch.setattr(oracle, "_dqds", lambda d, e: 2)
+    monkeypatch.setattr(_jacobi, "_dqds", lambda d, e: 2)
     with pytest.raises(ConvergenceError, match=r"info=2 on the 64-level .*\(y=0\.25\)"):
         oracle._env_eigensystem.__wrapped__(0.25, 64)
 
@@ -335,16 +336,16 @@ def test_env_vectors_match_dense_exponential(y, dim_e, split, monkeypatch):
     generator, for real and complex mu, also with the blocks of the row
     recurrence cut to `split` levels."""
     oracle._half_spectrum(y, dim_e)  # weights from the unsplit walk
-    blocks = list(oracle._blocks(oracle._vacuum_block(y, dim_e)))
+    blocks = list(_jacobi._blocks(_jacobi._vacuum_block(y, dim_e)))
     if dim_e == 200:
         assert len(blocks) == 2
     if split:
-        monkeypatch.setattr(oracle, "_blocks", lambda *args: [
+        monkeypatch.setattr(_jacobi, "_blocks", lambda *args: [
             (t, min(t + split, e), b[t - s:t - s + split + 1])
             for s, e, b in blocks for t in range(s, e, split)])
     mus = [0.0, 0.7, 2.3, 0.4 + 0.2j, 1.1 - 0.3j]
     X = oracle._env_vectors(y, mus, dim_e)
-    off = oracle._couplings(y, dim_e)
+    off = _annihilator_band(y, dim_e)
     G = np.diag(off, 1) + np.diag(off, -1)
     for col, mu_value in zip(X.T, mus):
         np.testing.assert_allclose(col, expm(-1j * mu_value * G)[:, 0], rtol=0, atol=1e-12)
@@ -366,7 +367,7 @@ def test_oracle_refuses_bad_requests_before_any_eigensystem(call, error, monkeyp
     def no_eigensystem(*args):
         raise AssertionError("eigensystem built before the request was checked")
 
-    monkeypatch.setattr(oracle, "_env_eigensystem", no_eigensystem)
+    monkeypatch.setattr(_jacobi, "_env_eigensystem", no_eigensystem)
     with pytest.raises(error):
         call()
 
@@ -437,7 +438,7 @@ def test_displacement_of_vacuum_is_poisson_at_flat_limit():
 def test_displacement_with_complex_mu_matches_dense_exponential():
     p = ChannelParams(gamma=1.0, lam=0.15, omega=1.0)
     mu_value = 0.4 + 0.2j
-    off = oracle._couplings(p.y, 256)
+    off = _annihilator_band(p.y, 256)
     ref = expm(-1j * mu_value * (np.diag(off, 1) + np.diag(off, -1)))[:, 0]
     v = displacement_apply(mu_value, p, dim_e=256).amplitudes
     np.testing.assert_allclose(v[:64], ref[:64], rtol=0, atol=1e-12)

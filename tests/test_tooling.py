@@ -3,7 +3,9 @@ module and function name.  A renamed hook silently turns its metrics into
 null, and a print in library code breaks the harness's last-line result, so
 both are checked here against perfbench's own tables (read, never edited).
 Also checked here: the lam<0 refusal lives in one module, the oracle
-imports no closed form, and only the oracle reaches LAPACK through ctypes.
+and the Jacobi numerics it reads import no closed form, only those
+numerics (_jacobi) reach LAPACK through ctypes, and the channel reads them
+without importing the oracle.
 """
 
 import ast
@@ -66,26 +68,43 @@ def test_only_algebra_refuses_past_the_negative_space():
 
 def test_oracle_imports_no_closed_form():
     """The oracle arbitrates the closed forms, so from kernel it takes only
-    the displacement mu and the result type CoherentVector."""
-    allowed = {"mu", "CoherentVector"}
-    tree = ast.parse((ROOT / "src" / "kerrdeph" / "oracle.py").read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert not any(a.name.endswith("kernel") for a in node.names), node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[-1] == "kernel":
-                names = {a.name for a in node.names}
-                assert names <= allowed, f"oracle.py:{node.lineno} imports {names - allowed}"
-            else:
-                assert "kernel" not in {a.name for a in node.names}, node.lineno
+    the displacement mu and the result type CoherentVector; the Jacobi
+    numerics it reads take nothing from kernel."""
+    for name, allowed in (("oracle.py", {"mu", "CoherentVector"}), ("_jacobi.py", set())):
+        tree = ast.parse((ROOT / "src" / "kerrdeph" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.endswith("kernel") for a in node.names), node.lineno
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[-1] == "kernel":
+                    names = {a.name for a in node.names}
+                    assert names <= allowed, f"{name}:{node.lineno} imports {names - allowed}"
+                else:
+                    assert "kernel" not in {a.name for a in node.names}, node.lineno
 
 
-def test_only_the_oracle_calls_lapack_through_ctypes():
+def test_only_the_jacobi_module_calls_lapack_through_ctypes():
     """Raw pointers into LAPACK stay in one module, behind its own checks."""
     for path in sorted((ROOT / "src" / "kerrdeph").glob("*.py")):
-        if path.name != "oracle.py":
+        if path.name != "_jacobi.py":
             text = path.read_text(encoding="utf-8")
             assert "ctypes" not in text and "cython_lapack" not in text, path.name
+
+
+def test_production_reads_the_jacobi_numerics_without_the_oracle():
+    """_jacobi imports no kernel, channel or oracle, and channel no oracle,
+    so the channel's Gaussian check shares the numerics, not the arbiter."""
+    for name, banned in (("_jacobi.py", {"kernel", "channel", "oracle"}),
+                         ("channel.py", {"oracle"})):
+        tree = ast.parse((ROOT / "src" / "kerrdeph" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                mods = {(node.module or "").split(".")[-1]} | {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                mods = {a.name.split(".")[-1] for a in node.names}
+            else:
+                continue
+            assert not mods & banned, f"{name}:{node.lineno} imports {mods & banned}"
 
 
 def test_only_the_cli_writes_to_stdout():
