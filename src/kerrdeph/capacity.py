@@ -181,7 +181,7 @@ def two_level_eigenvalues(p1: float, K: float):
     return 0.5 * (1.0 + s), 0.5 * (1.0 - s)
 
 
-def _objective_and_gradient(pv: np.ndarray, K: np.ndarray, shift=None):
+def _objective_and_gradient(pv: np.ndarray, K: np.ndarray, shift=None, eig=False):
     """J and its ambient gradient at weights pv >= 0 (need not be normalized).
 
     dJ/dp_k = -log2 p_k + (V f(q) V^T)_kk / p_k with f(x) = x log2 x and
@@ -189,6 +189,9 @@ def _objective_and_gradient(pv: np.ndarray, K: np.ndarray, shift=None):
     diagonal is a matrix function of G, so it does not depend on the basis
     eigh picks inside a degenerate eigenspace.  A linear `shift` subtracts
     <shift, pv> from the objective (Lagrangian for the energy constraint).
+    With `eig`, the decomposition (q, V) of G and the diagonal f(G)_kk come
+    back as a third value, so that `_hessian` at the same point need not
+    decompose G again.
     """
     root = np.sqrt(pv)
     q, V = np.linalg.eigh(np.multiply.outer(root, root) * K)
@@ -196,13 +199,14 @@ def _objective_and_gradient(pv: np.ndarray, K: np.ndarray, shift=None):
     pf = np.maximum(pv, _LOG2_FLOOR)
     lg = np.log2(pf)
     J = float(xw.sum()) - float((pv * lg).sum())  # H(p) - S = H(p) + sum q log2 q
-    g = ((V * V) @ xw) / pf - lg
+    fG = (V * V) @ xw  # the diagonal of f(G)
+    g = fG / pf - lg
     if shift is not None:
-        return J - float(shift @ pv), g - shift
-    return J, g
+        J, g = J - float(shift @ pv), g - shift
+    return (J, g, (q, V, fG)) if eig else (J, g)
 
 
-def _hessian(ps: np.ndarray, Ks: np.ndarray) -> np.ndarray:
+def _hessian(ps: np.ndarray, Ks: np.ndarray, eig=None) -> np.ndarray:
     """Hessian of J on a support with weights ps > 0 and kernel block Ks.
 
     With G = sqrt(p) K sqrt(p) = V diag(q) V^T, (V^T dG/dp_l V)_ij =
@@ -211,10 +215,16 @@ def _hessian(ps: np.ndarray, Ks: np.ndarray) -> np.ndarray:
     F_ij of f:
     H_kl = T_kl / (p_k p_l) - delta_kl [1/(p_k ln2) + f(G)_kk / p_k^2],
     T_kl = sum_ij V_ki V_li V_kj V_lj F_ij (q_i + q_j) / 2.
-    A linear energy shift does not enter.
+    A linear energy shift does not enter.  `eig` is (q, V, f(G)_kk) of this
+    G from `_objective_and_gradient` when the caller has it, else G is
+    decomposed here.
     """
-    root = np.sqrt(ps)
-    q, V = np.linalg.eigh(np.multiply.outer(root, root) * Ks)
+    if eig is None:
+        root = np.sqrt(ps)
+        q, V = np.linalg.eigh(np.multiply.outer(root, root) * Ks)
+        fG = (V * V) @ _xlog2x(np.maximum(q, 0.0))
+    else:
+        q, V, fG = eig
     q = np.maximum(q, 0.0)
     hi = np.maximum.outer(q, q)
     lo = np.minimum.outer(q, q)
@@ -225,7 +235,6 @@ def _hessian(ps: np.ndarray, Ks: np.ndarray) -> np.ndarray:
         A = np.where(hi > 0.0, (np.log(hi) + tail) * (hi + lo) / 2.0, 0.0) / math.log(2.0)
     # one eigenvector i at a time, so memory stays O(n^2) at large menus
     T = sum(np.multiply.outer(V[:, i], V[:, i]) * ((V * A[i]) @ V.T) for i in range(len(q)))
-    fG = (V * V) @ _xlog2x(q)
     return T / np.multiply.outer(ps, ps) - np.diag(1.0 / (ps * math.log(2.0)) + fG / ps**2)
 
 
@@ -236,12 +245,12 @@ def _kkt_residual(pv: np.ndarray, g: np.ndarray, support_tol: float = 1e-12) -> 
     return float(np.max(np.where(pv > support_tol, np.abs(d), d), initial=0.0))
 
 
-def _newton_step(pv, J, g, r, K, tol, shift=None):
+def _newton_step(pv, J, g, r, eig, K, tol, shift=None):
     """One damped Newton step on the interior KKT system g(p) = c, sum p = 1.
 
     The step solves the bordered system with the closed-form Hessian
-    (`_hessian`, one eigh) on the support p > 1e-12, damped to keep the
-    support strictly positive; a step along which J does not rise to first
+    (`_hessian`) on the support p > 1e-12, damped to keep the support
+    strictly positive; a step along which J does not rise to first
     order is not tried.  When a coordinate off the support asks for mass
     (g_k - c > tol), the candidate instead reopens each such coordinate to
     1e-8.  A candidate is kept when J rises by more than 1e-15, or when the
@@ -249,15 +258,18 @@ def _newton_step(pv, J, g, r, K, tol, shift=None):
     resolved only to about 1e-14 (rounding in the two entropies), so a
     1e-15 band turns the last steps to the optimum away, and a point with
     residual r is within r of the optimum in J (J is concave and
-    max_k g_k - c <= r).  Returns the kept (p, J, g, r), or None.
+    max_k g_k - c <= r).  `eig` is the decomposition of the Gram matrix at
+    pv that `_objective_and_gradient` returned: when the support is the
+    whole menu the Hessian reuses it, so the only eigh of a round is the
+    candidate's.  Returns the kept (p, J, g, r, eig), or None.
     """
     def kept(cand):
         cand = np.maximum(cand, 0.0)
         cand = cand / cand.sum()
-        Jc, gc = _objective_and_gradient(cand, K, shift)
+        Jc, gc, eigc = _objective_and_gradient(cand, K, shift, eig=True)
         rc = _kkt_residual(cand, gc)
         if Jc > J + 1e-15 or (rc < r and Jc >= J - min(r, tol)):
-            return cand, Jc, gc, rc
+            return cand, Jc, gc, rc, eigc
         return None
 
     c = float(pv @ g)
@@ -270,7 +282,8 @@ def _newton_step(pv, J, g, r, K, tol, shift=None):
     if k < 2:
         return None
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = _hessian(pv[idx], K[idx][:, idx])
+    # on the whole menu pv[idx] and K[idx][:, idx] are pv and K bit for bit
+    kkt[:k, :k] = _hessian(pv[idx], K[idx][:, idx], eig if k == len(pv) else None)
     kkt[:k, k] = 1.0
     kkt[k, :k] = 1.0
     rhs = np.zeros(k + 1)
@@ -317,7 +330,7 @@ def _ascend_simplex(p0, K, tol, max_iter, shift=None):
     """
     pv = np.clip(np.asarray(p0, dtype=float), 1e-12, None)
     pv = pv / pv.sum()
-    J, g = _objective_and_gradient(pv, K, shift)
+    J, g, eig = _objective_and_gradient(pv, K, shift, eig=True)
     r = _kkt_residual(pv, g)
     trace = [J]
     eta = 0.5
@@ -326,12 +339,12 @@ def _ascend_simplex(p0, K, tol, max_iter, shift=None):
     for _ in range(max_iter):
         if r < tol * _POLISH_DEPTH:
             break
-        out = _newton_step(pv, J, g, r, K, tol, shift) if newton else None
+        out = _newton_step(pv, J, g, r, eig, K, tol, shift) if newton else None
         newton = out is not None
         if out is None:
             cand = pv * np.exp(eta * (g - g.max()) * math.log(2.0))  # g is in bits
             cand = np.maximum(cand / cand.sum(), _LOG2_FLOOR)
-            Jc, gc = _objective_and_gradient(cand, K, shift)
+            Jc, gc, eigc = _objective_and_gradient(cand, K, shift, eig=True)
             if r < tol and Jc <= J + 1e-15:
                 break  # certified, and neither step raises J
             if Jc < J - 1e-15:
@@ -340,11 +353,11 @@ def _ascend_simplex(p0, K, tol, max_iter, shift=None):
                     break
                 continue
             eta = min(eta * 1.2, 64.0)
-            out = cand, Jc, gc, _kkt_residual(cand, gc)
+            out = cand, Jc, gc, _kkt_residual(cand, gc), eigc
         rose = out[1] > J + 1e-15
         newton = newton or rose
         stall = 0 if rose else stall + 1
-        pv, J, g, r = out
+        pv, J, g, r, eig = out
         trace.append(J)
         if stall >= 60:
             break
@@ -359,11 +372,12 @@ def optimize_capacity(p: ChannelParams, N: int, constraint: EnergyConstraint | N
 
     Ascends from the uniform start first (`_ascend_simplex`: Newton steps,
     mirror steps only as the fallback, at most max_iter rounds) and stops
-    there when the result is certified (KKT residual < tol).  `starts` Dirichlet-random starts (fixed
-    `seed`) are the fallback: they run in order only while no certified
-    result has been kept, and the best J wins (ulp-level ties go to a
-    certified run).  J is concave here, so the fallback only guards against
-    the ascent stalling in flat regions.
+    there when the result is certified (KKT residual < tol).  `starts`
+    Dirichlet-random starts (fixed `seed`) are the fallback: each is drawn
+    only when it runs, they run in order only while no certified result has
+    been kept, and the best J wins (ulp-level ties go to a certified run).
+    J is concave here, so the fallback only guards against the ascent
+    stalling in flat regions.
     An energy cap is enforced through its Lagrange multiplier: J - nu<eps,p>
     is maximized on the simplex and nu is bisected until the cap binds
     (capped energy is monotone in nu; strict concavity of J makes the inner
@@ -375,13 +389,15 @@ def optimize_capacity(p: ChannelParams, N: int, constraint: EnergyConstraint | N
     idx = _menu(N, indices)
     K = _menu_kernel(p, idx, convention)
 
-    rng = np.random.default_rng(seed)
-    inits = [np.full(N + 1, 1.0 / (N + 1))]
-    inits += [rng.dirichlet(np.ones(N + 1)) for _ in range(starts)]
+    def inits():
+        yield np.full(N + 1, 1.0 / (N + 1))
+        rng = np.random.default_rng(seed)  # drawn in order, only when they run
+        for _ in range(starts):
+            yield rng.dirichlet(np.ones(N + 1))
 
     def solve(shift=None, warm=None):
         best = None
-        for p0 in (inits if warm is None else [warm]):
+        for p0 in (inits() if warm is None else [warm]):
             out = _ascend_simplex(p0, K, tol, max_iter, shift)
             # prefer strictly better J; on ulp-level ties prefer the converged run
             if best is None or out[1] > best[1] + 5e-15 or (

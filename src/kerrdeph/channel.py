@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._jacobi import _leading_rows
 from .algebra import (ChannelParams, _check_dim, _fit_dim, build_annihilator,
@@ -46,6 +45,9 @@ _LEVEL_CAP = 4096
 # and above the 1e-15 - 3e-14 by which rungs differ once the cutoff no
 # longer reaches the corner (dim <= 20, up to 1920 levels).
 _CORNER_SETTLED = 1e-12
+# The Gaussian check refuses a dim whose right-hand product can round by this
+# much (the validate suite's tolerance): its residual would measure rounding.
+_PRODUCT_ROUNDING_CAP = 1e-8
 
 
 def _certified_psd(h: np.ndarray) -> bool:
@@ -82,8 +84,13 @@ def _certified_psd(h: np.ndarray) -> bool:
     return True
 
 
-def _check_state(entries: np.ndarray) -> None:
-    """Raise InvalidStateError unless entries keeps DensityMatrix's invariants."""
+def _check_state(entries: np.ndarray, known_psd: bool = False) -> None:
+    """Raise InvalidStateError unless entries keeps DensityMatrix's invariants.
+
+    `known_psd` skips only the positivity check, for a caller whose
+    construction proves it (complementary_apply); the other checks always
+    run.
+    """
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
         raise InvalidStateError(
             f"state must be square and non-empty, got shape {entries.shape}")
@@ -97,6 +104,8 @@ def _check_state(entries: np.ndarray) -> None:
     tr = float(abs(entries.trace().real - 1.0) + abs(entries.trace().imag))
     if tr > 1e-12:
         raise InvalidStateError(f"trace residual {tr:.3e} > 1e-12")
+    if known_psd:
+        return
     h = (entries + adjoint) / 2.0
     del adjoint  # not held through the factorization: one matrix less at peak
     if not _certified_psd(h):
@@ -219,12 +228,23 @@ def complementary_apply(rho, p: ChannelParams, env_dim: int | None = None,
     keeps the output trace within the DensityMatrix invariant for lam > 0;
     unreachable tolerances raise TruncationError.  Unlike apply, the output
     is checked: its trace is 1 only to within the tail tolerance.
+
+    The output is X diag(d) X^H, with the coherent vectors x_n as the
+    columns of X and d the input diagonal.  When every d_n >= 0 it is
+    positive semidefinite up to its rounding E, |E| <= c gamma_{dim+1}
+    |X| diag(d) |X|^H with c a small constant for complex arithmetic
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    3.5-3.6), so its smallest eigenvalue is at least -c gamma_{dim+1}
+    sum_n d_n ||x_n||^2, about -(dim+1) 1e-16 once the trace check passed:
+    then the L x L factorization is skipped.  The finite, Hermiticity and
+    trace checks always run, and an input with some d_n < 0 gets the full
+    check.
     """
     state = _as_state(rho)
     diag = np.real(np.diag(state.entries))
     X, _ = _coherent_table(p, np.arange(state.dim), env_dim, tail_tol)
     out = (X * diag) @ X.conj().T
-    _check_state(out)
+    _check_state(out, known_psd=bool(diag.min() >= 0.0))
     return _trusted(out)
 
 
@@ -364,7 +384,15 @@ def verify_gaussian_decomposition(beta: complex, p: ChannelParams, dim: int,
     diagonal and exp(-zeta* A) upper triangular, so the leading dim x dim
     block of their product is the product of their leading blocks, and each
     block is the exponential of the same operator on dim levels.  That
-    corner is exact at any truncation, so this side needs no buffer.
+    corner is exact at any truncation, so this side needs no buffer.  On
+    dim levels zeta A^dag and -zeta* A are nilpotent, so the triangular
+    factors are the finite sums of _nilpotent_exp.  Their entries grow with
+    dim while the corner's stay below 1, so the product L D U cancels:
+    DimensionError, naming the bound, when its rounding bound
+    dim u max(|L||D||U|) (u the unit roundoff) reaches
+    _PRODUCT_ROUNDING_CAP, where the residual would measure rounding rather
+    than the identity.  The bound is evaluated after the left-hand side, so
+    a cutoff refusal keeps its TruncationError.
 
     Left-hand side: beta A^dag - beta* A = Q (-i|beta| T) Q^H with T = A + A^T
     real symmetric tridiagonal and Q = diag((i beta/|beta|)^n) unitary, so
@@ -393,7 +421,8 @@ def verify_gaussian_decomposition(beta: complex, p: ChannelParams, dim: int,
             raise DimensionError(f"corner dim {dim} exceeds the closed block (dim {M})")
     a = build_annihilator(p, dim).entries
     k0 = np.diag(build_k0(p, dim).entries)
-    rhs = (expm(zeta * a.T) * np.exp(math.log(zeta0) * k0)) @ expm(-np.conj(zeta) * a)
+    lower = _nilpotent_exp(zeta * a.T) * np.exp(math.log(zeta0) * k0)
+    upper = _nilpotent_exp(-np.conj(zeta) * a)
     beta = complex(beta)
     if p.lam < 0:
         lhs = _displacement_corner(beta, p, dim, M)
@@ -411,7 +440,26 @@ def verify_gaussian_decomposition(beta: complex, p: ChannelParams, dim: int,
             corner = _displacement_corner(beta, p, dim, levels)
             change = float(np.abs(corner - lhs).max())
             lhs = corner
-    return float(np.abs(lhs - rhs).max())
+    rounding = dim * np.finfo(float).eps / 2.0 * float((np.abs(lower) @ np.abs(upper)).max())
+    if not rounding < _PRODUCT_ROUNDING_CAP:
+        raise DimensionError(
+            f"the {dim}x{dim} product exp(zeta A^dag) exp(ln(zeta0) K0) "
+            f"exp(-zeta* A) at beta={beta:.6g} can round by up to {rounding:.1e} "
+            f"(dim u max|L||D||U|), not below {_PRODUCT_ROUNDING_CAP:.0e}: "
+            "the residual would measure rounding; take a smaller dim"
+        )
+    return float(np.abs(lhs - lower @ upper).max())
+
+
+def _nilpotent_exp(m: np.ndarray) -> np.ndarray:
+    """exp(m) for m nonzero only on its first sub- or superdiagonal, as the
+    finite sum of m^k / k!, k < len(m): m^k lives on the k-th off-diagonal
+    alone, so no entry of the sum adds two terms."""
+    total = term = np.eye(len(m), dtype=complex)
+    for k in range(1, len(m)):
+        term = term @ m / k
+        total = total + term
+    return total
 
 
 def _displacement_corner(beta: complex, p: ChannelParams, dim: int,

@@ -178,6 +178,78 @@ def test_uncertified_ascents_run_every_start_and_keep_the_best(monkeypatch):
     assert kept[0][1] >= max(out[1] for out in outs) - 5e-15
 
 
+@pytest.mark.parametrize("gamma", [1.0, 4.0])
+def test_one_eigendecomposition_per_objective_evaluation(gamma, evals, monkeypatch):
+    """The Newton Hessian reuses the decomposition its objective evaluation
+    made at the same point, so no Gram matrix is decomposed twice: 13 eigh
+    calls for 7 evaluations at gamma=1, and 209 for 196 at gamma=4, when
+    the Hessian decomposed G again."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    res = optimize_capacity(ChannelParams(gamma=gamma, lam=0.2, omega=1.0), 3)
+    assert res.converged
+    assert len(evals) > 0
+    assert len(calls) == len(evals)
+
+
+def test_hessian_with_the_objectives_decomposition_is_bit_identical():
+    """On the whole menu the carried (q, V) is the eigh _hessian would make."""
+    from kerrdeph.capacity import _hessian, _menu_kernel, _objective_and_gradient
+
+    for lam, gamma, indices in [(0.3, 0.9, [0, 1, 2, 3]), (1.0, 4.0, [0, 1, 2, 3]),
+                                (0.2, 0.0, [0, 1, 2]), (-0.05, 1.0, [1, 39]),
+                                (-0.1, 4.0, list(range(21)))]:
+        K = _menu_kernel(ChannelParams(gamma=gamma, lam=lam, omega=1.0), indices, "proof")
+        rng = np.random.default_rng(len(indices))
+        for pv in (np.full(len(indices), 1.0 / len(indices)),
+                   rng.dirichlet(np.ones(len(indices)))):
+            J, g, eig = _objective_and_gradient(pv, K, eig=True)
+            J_alone, g_alone = _objective_and_gradient(pv, K)
+            assert J == J_alone
+            np.testing.assert_array_equal(g, g_alone)
+            np.testing.assert_array_equal(_hessian(pv, K, eig), _hessian(pv, K))
+
+
+class _DrawCounter:
+    """Stands in for the Generator of np.random.default_rng and records its
+    Dirichlet draws."""
+
+    def __init__(self, seed, draws):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._draws = draws
+
+    def dirichlet(self, alpha):
+        self._draws.append(self._rng.dirichlet(alpha))
+        return self._draws[-1]
+
+
+def test_certified_first_ascent_draws_no_start(monkeypatch):
+    """The Dirichlet starts are drawn only when they run: none after a
+    certified first ascent, and in the generator's order when every start
+    runs."""
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _DrawCounter(seed, draws))
+    p = ChannelParams(gamma=1.0, lam=0.5, omega=1.0)
+    assert optimize_capacity(p, 2).converged
+    assert draws == []
+
+    starts = []
+    ascend = capacity_module._ascend_simplex
+
+    def uncertified(*args, **kwargs):
+        starts.append(args[0])
+        out = ascend(*args, **kwargs)
+        return out[:3] + (False,) + out[4:]
+
+    monkeypatch.setattr(capacity_module, "_ascend_simplex", uncertified)
+    optimize_capacity(p, 2, starts=4, seed=3)
+    eager = np.random.Generator(np.random.PCG64(3))
+    assert len(draws) == 4
+    for drawn, ran in zip([eager.dirichlet(np.ones(3)) for _ in range(4)], starts[1:]):
+        np.testing.assert_array_equal(drawn, ran)
+
+
 def test_failed_newton_trial_is_discarded(monkeypatch):
     """A Newton step that is not kept hands its round to a mirror step; the
     ascent goes on from there and certifies the same optimum."""

@@ -141,9 +141,10 @@ class TestStatesAreCheckedOnce:
         coherent_input_output(1.2, p)
         coherent_input_output(0.7, ChannelParams(gamma=1.0, lam=-0.1))
         assert calls == [(6, 6)]
-        # its trace rests on the tail tolerance, so its output is checked
+        # its trace rests on the tail tolerance, so its output is checked,
+        # but its positivity follows from its factor X diag(d) X^H, d >= 0
         complementary_apply(rho, ChannelParams(gamma=1.0, lam=0.0))
-        assert len(calls) == 2
+        assert calls == [(6, 6)]
 
     def test_checked_entries_cannot_change(self, rng):
         """A state owns read-only entries: editing the caller's matrix after
@@ -299,6 +300,25 @@ class TestComplementary:
         with pytest.raises(DomainError):
             complementary_spectrum(np.array([0.7, 0.7, -0.4]), p)
 
+    def test_positivity_follows_from_the_factor(self, monkeypatch):
+        """With every input diagonal entry >= 0 the output X diag(d) X^H is
+        not factorized; a state whose diagonal dips below 0 (within the -1e-10
+        bound) gets the full check, and the trace check runs either way."""
+        p = ChannelParams(gamma=4.0, lam=0.0)
+        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+        dipped = DensityMatrix(np.diag([0.5, 0.5 + 1e-11, -1e-11]))
+        calls = []
+        check = channel_module._certified_psd
+        monkeypatch.setattr(channel_module, "_certified_psd",
+                            lambda h: calls.append(h.shape) or check(h))
+        env = complementary_apply(rho, p)
+        assert calls == []
+        assert np.linalg.eigvalsh(env.entries).min() >= -1e-14
+        L = complementary_apply(dipped, p).dim
+        assert calls == [(L, L)]
+        with pytest.raises(InvalidStateError, match="trace residual"):
+            complementary_apply(rho, p, tail_tol=1e-6)
+
     def test_truncation_refusal_at_default_cap(self):
         p = ChannelParams(gamma=0.8, lam=0.4, omega=1.0)
         rho = DensityMatrix(np.diag([0.2, 0.2, 0.2, 0.2, 0.1, 0.1]))
@@ -409,6 +429,31 @@ class TestGaussianDecomposition:
         p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
         assert verify_gaussian_decomposition(beta, p, dim) <= 1e-13
 
+    def test_refuses_a_dim_where_the_product_only_rounds(self):
+        """At (lam=0.5, beta=0.7) the right-hand factors' entries grow with
+        dim while the corner's stay below 1, so the product cancels: its
+        rounding bound dim u max|L||D||U| reads 8e-12 at dim 20 and 1.1e2 at
+        dim 80, where the residual read 0.88 and measured only rounding."""
+        p = ChannelParams(gamma=1.0, lam=0.5, omega=1.0)
+        assert verify_gaussian_decomposition(0.7, p, 20) < 1e-8
+        with pytest.raises(DimensionError, match=r"^the 80x80 product .* at beta=0\.7\+0j "
+                           r"can round by up to 1\.1e\+02 \(dim u max\|L\|\|D\|\|U\|\), "
+                           r"not below 1e-08"):
+            verify_gaussian_decomposition(0.7, p, 80)
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0, -0.2])
+    def test_triangular_factors_are_finite_sums(self, lam):
+        """exp of the nilpotent zeta A^dag and -zeta* A on dim levels is the
+        finite sum of their powers, which matches expm."""
+        p = ChannelParams(gamma=1.0, lam=lam, omega=1.0)
+        a = channel_module.build_annihilator(p, 8).entries
+        for beta in (0.3, 0.7 * np.exp(0.7j), 1.5 if lam > 0 else 1.0):
+            zeta, _ = gaussian_decomposition(beta, 2.0 * p.y)
+            for m in (zeta * a.T, -np.conj(zeta) * a):
+                want = expm(m)
+                np.testing.assert_allclose(channel_module._nilpotent_exp(m), want,
+                                           rtol=0, atol=1e-14 * np.abs(want).max())
+
     def test_refuses_a_corner_that_moves_at_the_cap(self, monkeypatch):
         # 29, 58, 116 levels fit under a 128-level cap; at 116 the corner
         # still moves by about 2e-2
@@ -419,9 +464,12 @@ class TestGaussianDecomposition:
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, -0.2, -0.5, -1.0, -2.0])
     def test_corner_route_matches_the_dense_exponentials(self, lam):
-        """Reference: both sides as dense exponentials on the buffered space
+        """Reference: both sides as dense matrices on the buffered space
         (8 + 50 levels for lam > 0, the closed block for lam < 0), compared
-        on the corner.  Wherever that reference is at rounding level
+        on the corner.  The left side comes from np.linalg.eigh of the
+        Hermitian i(beta A^dag - beta* A), the right side from expm of the
+        two triangular factors and the elementwise exponential of the
+        diagonal one.  Wherever that reference is at rounding level
         (<= 1e-13) the corner route agrees with it to 1e-13.  lam = -0.5 has
         a 4-level closed block, so only dim 3 fits there; the smallest
         blocks (lam = -1, -2: 2 and 1 levels) are compared at dims 1-2."""
@@ -429,12 +477,13 @@ class TestGaussianDecomposition:
         D = round(2.0 * p.omega / abs(lam)) if lam < 0 else 8 + 50
         dims = [d for d in ((3, 6, 8) if D > 2 else (1, 2)) if d <= D]
         a = channel_module.build_annihilator(p, D).entries
-        k0 = channel_module.build_k0(p, D).entries
+        k0 = np.diag(channel_module.build_k0(p, D).entries)
         compared = 0
         for beta in (0.0, 0.3, 0.7 * np.exp(0.7j), 1.0, -0.9, 0.8j):
             zeta, zeta0 = gaussian_decomposition(beta, 2.0 * p.y)
-            lhs = expm(beta * a.T - np.conj(beta) * a)
-            rhs = expm(zeta * a.T) @ expm(math.log(zeta0) * k0) @ expm(-np.conj(zeta) * a)
+            w, W = np.linalg.eigh(1j * (beta * a.T - np.conj(beta) * a))
+            lhs = (W * np.exp(-1j * w)) @ W.conj().T
+            rhs = (expm(zeta * a.T) * np.exp(math.log(zeta0) * k0)) @ expm(-np.conj(zeta) * a)
             for dim in dims:
                 reference = float(np.abs((lhs - rhs)[:dim, :dim]).max())
                 if reference <= 1e-13:
@@ -464,18 +513,17 @@ class TestGaussianDecomposition:
 
 
 def test_gaussian_check_exponentiates_only_the_corner(monkeypatch):
-    """Only the dim x dim right-hand factors go through expm; the buffered
-    left-hand side is a tridiagonal eigenproblem."""
+    """Only the dim x dim right-hand factors are exponentiated, as finite
+    sums with no expm; the buffered left-hand side is a tridiagonal
+    eigenproblem."""
     shapes = []
-
-    def recording_expm(m):
-        shapes.append(m.shape)
-        return expm(m)
-
-    monkeypatch.setattr(channel_module, "expm", recording_expm)
+    nilpotent_exp = channel_module._nilpotent_exp
+    monkeypatch.setattr(channel_module, "_nilpotent_exp",
+                        lambda m: shapes.append(m.shape) or nilpotent_exp(m))
     for beta in (0.3, 0.7 * np.exp(0.7j), 1.0):
         assert verify_gaussian_decomposition(beta, ChannelParams(1, .5), 6) < 1e-13
-    assert shapes and all(s[0] <= 6 and s[1] <= 6 for s in shapes), shapes
+    assert shapes == [(6, 6)] * 6
+    assert not hasattr(channel_module, "expm")
 
 
 def _eigh_corner(beta, p, dim, levels):
